@@ -27,7 +27,6 @@ from .oracles import (
 )
 from .parsing import (
     SCHEMA,
-    coord_json,
     frac_str,
     parse_ints,
     parse_point,
@@ -36,7 +35,6 @@ from .parsing import (
     point_json,
     subset_json,
     support_from_json,
-    support_to_json,
 )
 from .polyhedra import SupportSet, gamma_minus, is_convenient, newton_diagram
 

@@ -14,9 +14,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DecompositionError, DomainError, FormulaMismatchError
-from .geometry import Simplex, in_convex_hull, pull_triangulate
+from .geometry import Simplex, in_convex_hull
 from .newton import newton_number
-from .polyhedra import NewtonRegion, SupportSet, gamma_minus, newton_diagram
+from .polyhedra import NewtonRegion, SupportSet, cone_over_visible_facets, gamma_minus
 
 FAMILY_DIMENSION = 4
 
@@ -69,14 +69,7 @@ def family_difference(step: FamilyStep) -> Simplex:
     truncated diagram.  Anything other than exactly one 4-simplex raises a
     DecompositionError carrying the actual pieces.
     """
-    diagram = newton_diagram(step.f0)
-    apex = step.removed
-    cells = []
-    for facet in diagram.facets:
-        value = sum(w * Fraction(c) for w, c in zip(facet.inner_normal, apex))
-        if value < facet.offset:
-            for cell in pull_triangulate(facet.vertices):
-                cells.append(Simplex(cell + (apex,)))
+    cells = cone_over_visible_facets(step.f0, step.removed)
     if len(cells) != 1:
         raise DecompositionError(
             f"dropping the vertex frees {len(cells)} simplices, not one",

@@ -18,10 +18,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from math import factorial
 
 from .errors import InvalidRegionError
-from .linalg import determinant, rank, solve
+from .linalg import back_substitute, determinant, echelon, primitive_integer_vector, rank, solve
 
 Vec = tuple  # tuple of int | Fraction, all >= 0
 
@@ -121,21 +122,17 @@ class Simplex:
 
     def contains_point(self, point: Vec) -> bool:
         """Exact membership via barycentric coordinates (degenerate: False)."""
-        if self.is_degenerate:
-            return False
         base = self.vertices[0]
         cols = [vec_sub(v, base) for v in self.vertices[1:]]
         if not cols:
             return tuple(point) == base
-        matrix = [[cols[j][i] for j in range(len(cols))] for i in range(self.n)]
-        coeffs = solve(matrix, list(vec_sub(point, base)))
-        if coeffs is None:
-            return False
-        # solve() pins nothing here: columns are independent, solution unique
+        rhs = vec_sub(point, base)
+        rows, pivots, _ = echelon([[c[i] for c in cols] + [rhs[i]] for i in range(self.n)])
+        if len(pivots) < self.dim or (pivots and pivots[-1] == self.dim):
+            return False  # degenerate, or point off the simplex's affine hull
+        coeffs = back_substitute(rows, pivots, [Fraction(0)] * self.dim)
         residual_ok = all(
-            sum(matrix[i][j] * coeffs[j] for j in range(len(cols)))
-            == Fraction(point[i]) - Fraction(base[i])
-            for i in range(self.n)
+            sum(c[i] * x for c, x in zip(cols, coeffs)) == rhs[i] for i in range(self.n)
         )
         if not residual_ok:
             return False
@@ -221,13 +218,14 @@ def in_convex_hull(point: Vec, points: list[Vec], plus_orthant: bool = False) ->
     return linear_feasible(rows, rhs)
 
 
-def extreme_points(points) -> list[Vec]:
-    """Vertices of conv(points), in lexicographic order."""
+def extreme_points(points, plus_orthant: bool = False) -> list[Vec]:
+    """Vertices of conv(points) (optionally + nonnegative orthant), in
+    lexicographic order."""
     pts = sorted(set(tuple(p) for p in points))
     out = []
     for i, p in enumerate(pts):
         others = pts[:i] + pts[i + 1 :]
-        if not others or not in_convex_hull(p, others):
+        if not others or not in_convex_hull(p, others, plus_orthant):
             out.append(p)
     return out
 
@@ -263,41 +261,47 @@ def _chart(points) -> list[tuple[Fraction, ...]]:
     return coords
 
 
+def supporting_hyperplanes(points):
+    """Hyperplanes through d affinely independent points of R^d that leave
+    every point on one side (brute force over d-subsets, desk scale).
+
+    Yields (w, c, on): w is the primitive integer normal oriented so that
+    w . p >= c for every point p, and on holds the indices of the points
+    with equality.  A hyperplane repeats once per spanning subset.  Integer
+    points are evaluated in integer arithmetic.
+    """
+    d = len(points[0])
+    for subset in combinations(range(len(points)), d):
+        base = points[subset[0]]
+        rows, pivots, _ = echelon([[a - b for a, b in zip(points[j], base)] for j in subset[1:]])
+        if len(pivots) < d - 1:
+            continue
+        # d - 1 independent rows in d columns leave exactly one free column
+        w = primitive_integer_vector(
+            back_substitute(rows, pivots, [Fraction(c not in pivots) for c in range(d)])
+        )
+        values = [sum(wi * pi for wi, pi in zip(w, p)) for p in points]
+        c = values[subset[0]]
+        if min(values) == c:
+            sign = 1
+        elif max(values) == c:
+            sign = -1
+        else:
+            continue
+        on = tuple(i for i, v in enumerate(values) if v == c)
+        yield tuple(sign * wi for wi in w), sign * c, on
+
+
 def polytope_facets(points) -> list[tuple[int, ...]]:
     """Index sets of the facets of conv(points).
 
     Points must be distinct; they need not all be extreme (non-extreme points
     on a facet's hyperplane are included in that facet's index set).
-    Brute force over affinely independent subsets at desk scale.
     """
     pts = [tuple(p) for p in points]
-    d = affine_dim(pts)
-    if d == 0:
+    if affine_dim(pts) == 0:
         return []
-    coords = _chart(pts)
-    if d == 1:
-        vals = [c[0] for c in coords]
-        lo = min(range(len(pts)), key=lambda i: vals[i])
-        hi = max(range(len(pts)), key=lambda i: vals[i])
-        return sorted({(lo,), (hi,)})
-    from itertools import combinations
-
-    from .linalg import nullspace_vector
-
-    found: set[tuple[int, ...]] = set()
-    for subset in combinations(range(len(pts)), d):
-        edges = [list(vec_sub(coords[j], coords[subset[0]])) for j in subset[1:]]
-        if rank(edges) < d - 1:
-            continue
-        normal = nullspace_vector(edges)
-        if normal is None:
-            continue
-        offset = sum(w * x for w, x in zip(normal, coords[subset[0]]))
-        sides = [sum(w * x for w, x in zip(normal, c)) - offset for c in coords]
-        if all(s >= 0 for s in sides) or all(s <= 0 for s in sides):
-            face = tuple(i for i, s in enumerate(sides) if s == 0)
-            found.add(face)
-    return sorted(found)
+    return sorted({on for _, _, on in supporting_hyperplanes(_chart(pts))})
 
 
 def pull_triangulate(points, order_key=None) -> list[tuple[Vec, ...]]:

@@ -29,18 +29,15 @@ from .errors import (
     ContainmentError,
     DomainError,
     FormulaMismatchError,
-    InvalidRegionError,
 )
 from .geometry import Simplex
-from .newton import minimal_full_supporting
+from .newton import _factored_preamble
 from .polyhedra import (
     NewtonRegion,
     SupportSet,
     all_subsets,
     axis_simplex_region,
     check_dimension,
-    drop_coordinates,
-    project,
     simplex_below_diagram,
     validate_region,
 )
@@ -152,27 +149,13 @@ def r_newton_factored(z: NewtonRegion | Simplex, dt: DegreeTuple) -> RFactoredRe
     disagreement raises.  Orders r = 1 and r = n use the direct route only,
     as do inputs whose projections collapse.
     """
-    region = z if isinstance(z, NewtonRegion) else NewtonRegion(z.n, (z,))
-    check_dimension(region.n)
-    n = region.n
     r, d = dt.r, dt.d
-    if r > n:
-        raise DomainError(f"order r={r} exceeds ambient dimension {n}")
-    if region.contains_origin():
-        raise DomainError("factored route needs a region avoiding the origin")
-    for s in region.simplices:
-        if s.dim != n or s.is_degenerate:
-            raise DomainError("factored route needs nondegenerate top-dimensional simplices")
-    direct = r_newton_number(region, dt).total
-
-    mins = {minimal_full_supporting(s) for s in region.simplices}
-    if len(mins) != 1:
-        raise InvalidRegionError("pieces disagree on the minimal full-supporting subset")
-    I = next(iter(mins))
-    faces = {s.face_in_subspace(I) for s in region.simplices}
-    if len(faces) != 1:
-        raise InvalidRegionError("pieces do not share one base face in the subspace")
-    face_volume = Simplex(next(iter(faces))).normalized_volume()
+    if r > z.n:
+        raise DomainError(f"order r={r} exceeds ambient dimension {z.n}")
+    region, direct, I, face_volume, prime = _factored_preamble(
+        z, lambda region: r_newton_number(region, dt).total
+    )
+    n = region.n
 
     restricted = _restricted_sum(region, dt, I)
     if restricted != direct:
@@ -183,22 +166,8 @@ def r_newton_factored(z: NewtonRegion | Simplex, dt: DegreeTuple) -> RFactoredRe
 
     size = len(I)
     m = n - size
-    if r == 1 or r == n or m == 0:
+    if r == 1 or r == n or prime is None:
         return RFactoredResult(direct, I, face_volume, "direct", "direct", None)
-
-    projected = []
-    collapsed = False
-    for s in region.simplices:
-        image = drop_coordinates(project(s, I), I)
-        if len(image.vertices) != m + 1 or image.is_degenerate:
-            collapsed = True
-            break
-        projected.append(image)
-    if not collapsed and len(set(projected)) != len(projected):
-        collapsed = True
-    if collapsed:
-        return RFactoredResult(direct, I, face_volume, "direct", "direct", None)
-    prime = NewtonRegion(m, tuple(projected))
 
     if r <= size and r <= m:
         ks = range(1, r + 1)

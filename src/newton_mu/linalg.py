@@ -1,66 +1,79 @@
 """Exact linear algebra over Fraction.
 
-Matrices are lists of row lists. Everything here is plain Gaussian
-elimination with exact pivots; sizes stay tiny (ambient dimension <= 6,
-oracle matrices a few hundred rows), so no fraction-free tricks are needed.
+Matrices are lists of row lists.  Every routine here is one forward
+Gaussian elimination (`echelon`) followed, where a solution is wanted, by
+one back-substitution (`back_substitute`).  Pivots are exact; rows are
+neither normalized nor reduced upward, because most callers only need the
+rank or the pivot product.  Sizes stay tiny (ambient dimension <= 6, the
+oracles' dense systems at most 4 x 4), so no fraction-free tricks are
+needed.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-
-Matrix = list[list[Fraction]]
-
-
-def _as_fraction_rows(matrix) -> Matrix:
-    return [[Fraction(entry) for entry in row] for row in matrix]
+from math import gcd, lcm
 
 
-def determinant(matrix) -> Fraction:
-    """Exact determinant of a square matrix of rationals."""
-    rows = _as_fraction_rows(matrix)
-    size = len(rows)
-    for row in rows:
-        if len(row) != size:
-            raise ValueError("determinant requires a square matrix")
-    det = Fraction(1)
-    for col in range(size):
-        pivot_row = next((r for r in range(col, size) if rows[r][col] != 0), None)
-        if pivot_row is None:
-            return Fraction(0)
-        if pivot_row != col:
-            rows[col], rows[pivot_row] = rows[pivot_row], rows[col]
-            det = -det
-        pivot = rows[col][col]
-        det *= pivot
-        for r in range(col + 1, size):
-            if rows[r][col] != 0:
-                factor = rows[r][col] / pivot
-                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[col])]
-    return det
+def echelon(matrix) -> tuple[list[list[Fraction]], list[int], int]:
+    """Row echelon form by forward elimination, pivoting on the first row
+    with a nonzero entry in each column.
 
-
-def rank(matrix) -> int:
-    """Row rank over the rationals."""
-    rows = [row for row in _as_fraction_rows(matrix) if any(row)]
-    if not rows:
-        return 0
-    cols = len(rows[0])
-    rk = 0
-    for col in range(cols):
+    Returns (rows, pivot columns, sign of the row permutation).  Row i has
+    its leading entry in column pivots[i]; rows past len(pivots) are zero.
+    """
+    rows = [[Fraction(entry) for entry in row] for row in matrix]
+    width = len(rows[0]) if rows else 0
+    pivots: list[int] = []
+    sign = 1
+    for col in range(width):
+        rk = len(pivots)
+        if rk == len(rows):
+            break
         pivot_row = next((r for r in range(rk, len(rows)) if rows[r][col] != 0), None)
         if pivot_row is None:
             continue
-        rows[rk], rows[pivot_row] = rows[pivot_row], rows[rk]
+        if pivot_row != rk:
+            rows[rk], rows[pivot_row] = rows[pivot_row], rows[rk]
+            sign = -sign
         pivot = rows[rk][col]
         for r in range(rk + 1, len(rows)):
             if rows[r][col] != 0:
                 factor = rows[r][col] / pivot
                 rows[r] = [a - factor * b for a, b in zip(rows[r], rows[rk])]
-        rk += 1
-        if rk == len(rows):
-            break
-    return rk
+        pivots.append(col)
+    return rows, pivots, sign
+
+
+def back_substitute(rows, pivots, x: list) -> list:
+    """Fill the pivot entries of x, bottom row first, so that every echelon
+    row holds as row[:len(x)] . x = row[len(x)] (0 when the row has no
+    augmented entry).  The other entries of x are the free variables and
+    are read as given."""
+    width = len(x)
+    for row, col in reversed(list(zip(rows, pivots))):
+        rhs = row[width] if len(row) > width else 0
+        x[col] = (rhs - sum(row[j] * x[j] for j in range(col + 1, width))) / row[col]
+    return x
+
+
+def determinant(matrix) -> Fraction:
+    """Exact determinant of a square matrix of rationals."""
+    size = len(matrix)
+    if any(len(row) != size for row in matrix):
+        raise ValueError("determinant requires a square matrix")
+    rows, pivots, sign = echelon(matrix)
+    if len(pivots) < size:
+        return Fraction(0)
+    det = Fraction(sign)
+    for i in range(size):
+        det *= rows[i][i]
+    return det
+
+
+def rank(matrix) -> int:
+    """Row rank over the rationals."""
+    return len(echelon(matrix)[1])
 
 
 def solve(matrix, rhs) -> list[Fraction] | None:
@@ -69,75 +82,36 @@ def solve(matrix, rhs) -> list[Fraction] | None:
     Accepts rectangular A; returns one solution (free variables pinned to 0)
     or None when inconsistent.
     """
-    rows = _as_fraction_rows(matrix)
-    b = [Fraction(v) for v in rhs]
-    if len(rows) != len(b):
+    if len(matrix) != len(rhs):
         raise ValueError("rhs length mismatch")
-    if not rows:
+    if not matrix:
         return []
-    cols = len(rows[0])
-    aug = [row + [bv] for row, bv in zip(rows, b)]
-    pivots: list[tuple[int, int]] = []
-    rk = 0
-    for col in range(cols):
-        pivot_row = next((r for r in range(rk, len(aug)) if aug[r][col] != 0), None)
-        if pivot_row is None:
-            continue
-        aug[rk], aug[pivot_row] = aug[pivot_row], aug[rk]
-        pivot = aug[rk][col]
-        aug[rk] = [v / pivot for v in aug[rk]]
-        for r in range(len(aug)):
-            if r != rk and aug[r][col] != 0:
-                factor = aug[r][col]
-                aug[r] = [a - factor * bv for a, bv in zip(aug[r], aug[rk])]
-        pivots.append((rk, col))
-        rk += 1
-    for r in range(rk, len(aug)):
-        if aug[r][cols] != 0:
-            return None
-    solution = [Fraction(0)] * cols
-    for row, col in pivots:
-        solution[col] = aug[row][cols]
-    return solution
+    cols = len(matrix[0])
+    rows, pivots, _ = echelon([list(row) + [b] for row, b in zip(matrix, rhs)])
+    if pivots and pivots[-1] == cols:
+        return None
+    return back_substitute(rows, pivots, [Fraction(0)] * cols)
 
 
 def nullspace_vector(matrix) -> list[Fraction] | None:
-    """One nonzero kernel vector of A, or None when A has full column rank."""
-    rows = _as_fraction_rows(matrix)
-    if not rows:
+    """One nonzero kernel vector of A, or None when A has full column rank.
+
+    The first free coordinate is 1 and the other free coordinates are 0.
+    """
+    if not matrix:
         return None
-    cols = len(rows[0])
-    aug = [list(row) for row in rows]
-    pivots: dict[int, int] = {}
-    rk = 0
-    for col in range(cols):
-        pivot_row = next((r for r in range(rk, len(aug)) if aug[r][col] != 0), None)
-        if pivot_row is None:
-            continue
-        aug[rk], aug[pivot_row] = aug[pivot_row], aug[rk]
-        pivot = aug[rk][col]
-        aug[rk] = [v / pivot for v in aug[rk]]
-        for r in range(len(aug)):
-            if r != rk and aug[r][col] != 0:
-                factor = aug[r][col]
-                aug[r] = [a - factor * bv for a, bv in zip(aug[r], aug[rk])]
-        pivots[col] = rk
-        rk += 1
-    free = [c for c in range(cols) if c not in pivots]
-    if not free:
+    cols = len(matrix[0])
+    rows, pivots, _ = echelon(matrix)
+    free = next((c for c in range(cols) if c not in pivots), None)
+    if free is None:
         return None
-    f = free[0]
-    vec = [Fraction(0)] * cols
-    vec[f] = Fraction(1)
-    for col, row in pivots.items():
-        vec[col] = -aug[row][f]
-    return vec
+    x = [Fraction(0)] * cols
+    x[free] = Fraction(1)
+    return back_substitute(rows, pivots, x)
 
 
 def primitive_integer_vector(vec) -> tuple[int, ...]:
     """Scale a rational vector to coprime integers (sign preserved)."""
-    from math import gcd, lcm
-
     fracs = [Fraction(v) for v in vec]
     if all(v == 0 for v in fracs):
         raise ValueError("zero vector has no primitive form")

@@ -21,16 +21,15 @@ from .errors import (
     InvalidRegionError,
     NotQuasiConvenientError,
 )
-from .geometry import Simplex, Vec, in_convex_hull, pull_triangulate
+from .geometry import Simplex, Vec, in_convex_hull
 from .polyhedra import (
     NewtonRegion,
     SupportSet,
     all_subsets,
     check_dimension,
+    cone_over_visible_facets,
     drop_coordinates,
-    gamma_minus,
     is_quasi_convenient,
-    newton_diagram,
     project,
     validate_region,
 )
@@ -106,14 +105,16 @@ class FactoredResult:
     route: str
 
 
-def newton_number_factored(z: NewtonRegion | Simplex) -> FactoredResult:
-    """Newton number via the base-face/projection factorization.
+def _factored_preamble(z: NewtonRegion | Simplex, direct):
+    """Checks and shared data of the two factored routes.
 
-    Every simplex must share one minimal full-supporting subset I and one
-    base face in R^I; then nu(z) = |I|! V(z^I) * nu(projection of z along I).
-    The direct alternating sum is always computed as well; disagreement is
-    a hard error.  Inputs whose projections collapse fall back to the
-    direct route (reported in the result).
+    Coerces z to a region that must avoid the origin and consist of
+    nondegenerate top-dimensional simplices, evaluates direct(region), and
+    requires one minimal full-supporting subset I and one base face in R^I
+    for every piece.  Returns (region, direct value, I, |I|! V(base face),
+    projected region), where the projected region drops the I coordinates
+    of every piece and is None when |I| = n or two pieces or vertices
+    collapse under the projection.
     """
     region = z if isinstance(z, NewtonRegion) else NewtonRegion(z.n, (z,))
     check_dimension(region.n)
@@ -122,7 +123,7 @@ def newton_number_factored(z: NewtonRegion | Simplex) -> FactoredResult:
     for s in region.simplices:
         if s.dim != region.n or s.is_degenerate:
             raise DomainError("factored route needs nondegenerate top-dimensional simplices")
-    direct = newton_number(region).total
+    value = direct(region)
 
     mins = {minimal_full_supporting(s) for s in region.simplices}
     if len(mins) != 1:
@@ -134,34 +135,38 @@ def newton_number_factored(z: NewtonRegion | Simplex) -> FactoredResult:
     faces = {s.face_in_subspace(I) for s in region.simplices}
     if len(faces) != 1:
         raise InvalidRegionError("pieces do not share one base face in the subspace")
-    face = next(iter(faces))
-    face_volume = Simplex(face).normalized_volume()
+    face_volume = Simplex(next(iter(faces))).normalized_volume()
 
+    m = region.n - len(I)
+    prime = None
+    if m > 0:
+        projected = [drop_coordinates(project(s, I), I) for s in region.simplices]
+        if len(set(projected)) == len(projected) and all(
+            len(p.vertices) == m + 1 and not p.is_degenerate for p in projected
+        ):
+            prime = NewtonRegion(m, tuple(projected))
+    return region, value, I, face_volume, prime
+
+
+def newton_number_factored(z: NewtonRegion | Simplex) -> FactoredResult:
+    """Newton number via the base-face/projection factorization.
+
+    Every simplex must share one minimal full-supporting subset I and one
+    base face in R^I; then nu(z) = |I|! V(z^I) * nu(projection of z along I).
+    The direct alternating sum is always computed as well; disagreement is
+    a hard error.  Inputs whose projections collapse fall back to the
+    direct route (reported in the result).
+    """
+    region, direct, I, face_volume, prime = _factored_preamble(
+        z, lambda region: newton_number(region).total
+    )
     if len(I) == region.n:
-        total = face_volume
-        if total != direct:
-            raise FormulaMismatchError(
-                "factored and direct Newton numbers disagree",
-                {"factored": str(total), "direct": str(direct)},
-            )
-        return FactoredResult(total, I, face_volume, None, "factored")
-
-    projected = []
-    collapsed = False
-    for s in region.simplices:
-        image = drop_coordinates(project(s, I), I)
-        if len(image.vertices) != region.n - len(I) + 1 or image.is_degenerate:
-            collapsed = True
-            break
-        projected.append(image)
-    if not collapsed and len(set(projected)) != len(projected):
-        collapsed = True
-    if collapsed:
+        total, projected_total = face_volume, None
+    elif prime is None:
         return FactoredResult(direct, I, face_volume, None, "direct")
-
-    proj_region = NewtonRegion(region.n - len(I), tuple(projected))
-    projected_total = newton_number(proj_region).total
-    total = face_volume * projected_total
+    else:
+        projected_total = newton_number(prime).total
+        total = face_volume * projected_total
     if total != direct:
         raise FormulaMismatchError(
             "factored and direct Newton numbers disagree",
@@ -187,16 +192,10 @@ def _removal_shells(outer: SupportSet, inner: SupportSet) -> list[Simplex]:
     facets of the new diagram.  Points already absorbed contribute nothing.
     """
     cur = set(outer.points) | set(inner.points)
-    extras = sorted(set(inner.points) - set(outer.points))
     shells: list[Simplex] = []
-    for apex in extras:
+    for apex in sorted(set(inner.points) - set(outer.points)):
         cur.remove(apex)
-        diagram = newton_diagram(SupportSet(outer.variables, tuple(sorted(cur))))
-        for facet in diagram.facets:
-            value = sum(w * Fraction(c) for w, c in zip(facet.inner_normal, apex))
-            if value < facet.offset:
-                for cell in pull_triangulate(facet.vertices):
-                    shells.append(Simplex(cell + (apex,)))
+        shells += cone_over_visible_facets(SupportSet(outer.variables, tuple(sorted(cur))), apex)
     return shells
 
 
@@ -307,8 +306,3 @@ def vanishing_check(x: NewtonRegion, complement_convex: bool | None = None) -> V
         bool(applicable),
         extremal_consistent,
     )
-
-
-def region_for_support(s: SupportSet) -> NewtonRegion:
-    """Convenience wrapper: the region under the diagram of a support."""
-    return gamma_minus(s)

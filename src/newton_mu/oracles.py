@@ -1,10 +1,14 @@
-"""Independent verification routes.
+"""Cross-checks of the headline quantities.
 
-Each oracle recomputes a headline quantity by a method sharing no code
-path with the main machinery: volumes by lattice-point counting and
-interpolation, triangulation invariance by re-running with a shuffled
-vertex order, and Milnor numbers by linear algebra on truncated Jacobian
-ideals.  They are deliberately slow and kept to small inputs.
+Volumes are recomputed by lattice-point counting and interpolation, and
+Milnor numbers by exact linear algebra on truncated Jacobian ideals; both
+avoid the diagram and triangulation code, though the counting oracle
+shares the exact elimination of `linalg` (determinants, Cramer data and
+the interpolation solve) with the main machinery.  The shuffled-order
+oracle reuses the diagram and pulling code with a different vertex order,
+so it checks only that the Newton number does not depend on the pulling
+order, not that the diagram is right.  All are deliberately slow and kept
+to small inputs.
 """
 
 from __future__ import annotations
@@ -163,23 +167,7 @@ def ehrhart_volume(x: NewtonRegion | Simplex) -> Fraction:
 
     # Solve the Vandermonde system sum_j c_j k^j = count_k exactly.
     rows = [[Fraction(k) ** j for j in range(n + 1)] for k in range(1, n + 2)]
-    coeffs = _solve_square(rows, counts)
-    return coeffs[n]
-
-
-def _solve_square(rows, rhs):
-    m = [row[:] + [b] for row, b in zip(rows, rhs)]
-    size = len(m)
-    for col in range(size):
-        pivot = next(r for r in range(col, size) if m[r][col] != 0)
-        m[col], m[pivot] = m[pivot], m[col]
-        inv = 1 / m[col][col]
-        m[col] = [v * inv for v in m[col]]
-        for r in range(size):
-            if r != col and m[r][col] != 0:
-                factor = m[r][col]
-                m[r] = [a - factor * b for a, b in zip(m[r], m[col])]
-    return [m[r][size] for r in range(size)]
+    return solve(rows, counts)[n]
 
 
 def shuffled_newton_number(s: SupportSet, seed: int) -> Fraction:
@@ -241,10 +229,14 @@ def milnor_colength(p: Polynomial) -> int:
 
     For truncation order N, the dimension of the quotient of polynomials
     of degree < N by the truncated span of all monomial multiples of the
-    partial derivatives is computed by exact rank; the value climbs and
-    settles at the Milnor number.  Three equal consecutive values are
-    required before the answer is trusted; hitting the order cap suggests
-    a non-isolated critical point.
+    partial derivatives is computed by exact rank.  That dimension is
+    c_N = dim O/(J + m^N), with J the Jacobian ideal and m the maximal
+    ideal of the local ring O, and the first repeat is final: c_N = c_{N+1}
+    means the surjection O/(J + m^{N+1}) -> O/(J + m^N) has zero kernel, so
+    m^N lies in J + m^{N+1} = J + m * m^N, and Nakayama's lemma gives
+    m^N inside J.  Then c_M = c_N = dim O/J, the Milnor number, for every
+    M >= N.  Hitting the order cap without a repeat suggests a
+    non-isolated critical point.
     """
     if p.n > ORACLE_MAX_DIMENSION:
         raise DomainError(
@@ -258,7 +250,7 @@ def milnor_colength(p: Polynomial) -> int:
     if all(g.is_zero for g in partials):
         raise DomainError("all partial derivatives vanish identically")
 
-    history: list[int] = []
+    previous = None
     for order in range(2, COLENGTH_MAX_ORDER + 1):
         monomials = _monomials_below(p.n, order)
         index = {mono: i for i, mono in enumerate(monomials)}
@@ -280,9 +272,9 @@ def milnor_colength(p: Polynomial) -> int:
                 if row:
                     rows.append(row)
         colength = len(monomials) - _sparse_rank(rows)
-        history.append(colength)
-        if len(history) >= 3 and history[-1] == history[-2] == history[-3]:
-            return history[-1]
+        if colength == previous:
+            return colength
+        previous = colength
     raise StabilizationError(
         f"colength still moving at truncation order {COLENGTH_MAX_ORDER};"
         " the critical point may not be isolated"

@@ -27,12 +27,9 @@ from .geometry import (
     Vec,
     coordinate_support,
     extreme_points,
-    in_convex_hull,
-    is_origin,
     pull_triangulate,
-    vec_sub,
+    supporting_hyperplanes,
 )
-from .linalg import nullspace_vector, primitive_integer_vector, rank
 
 DEFAULT_MAX_N = 6
 MAX_SUPPORT_POINTS = 64
@@ -146,16 +143,6 @@ class NewtonDiagram:
     vertices: tuple[Vec, ...]
 
 
-def _polyhedron_vertices(points: list[Vec]) -> list[Vec]:
-    """Extreme points of conv(points) + nonnegative orthant."""
-    out = []
-    for i, p in enumerate(points):
-        others = points[:i] + points[i + 1 :]
-        if not others or not in_convex_hull(p, others, plus_orthant=True):
-            out.append(p)
-    return out
-
-
 def newton_diagram(s: SupportSet) -> NewtonDiagram:
     """Compact facets (strictly positive inner normal) plus diagram vertices.
 
@@ -164,44 +151,16 @@ def newton_diagram(s: SupportSet) -> NewtonDiagram:
     compact facet of dimension n-1) is legal and yields an empty facet list.
     """
     check_dimension(s.n)
-    n = s.n
     pts = list(s.points)
-    vertices = _polyhedron_vertices(pts)
-
-    found: dict[tuple[tuple[int, ...], Fraction], list[Vec]] = {}
-    if n == 1:
-        low = min(pts)
-        found[((1,), Fraction(low[0]))] = [low]
-    else:
-        for subset in combinations(pts, n):
-            edges = [list(vec_sub(p, subset[0])) for p in subset[1:]]
-            if rank(edges) < n - 1:
-                continue
-            normal = nullspace_vector(edges)
-            if normal is None:
-                continue
-            w = primitive_integer_vector(normal)
-            values = [sum(wi * Fraction(pi) for wi, pi in zip(w, p)) for p in pts]
-            c = sum(wi * Fraction(pi) for wi, pi in zip(w, subset[0]))
-            if all(v >= c for v in values):
-                pass
-            elif all(v <= c for v in values):
-                w = tuple(-wi for wi in w)
-                c = -c
-                values = [-v for v in values]
-            else:
-                continue
-            if any(wi <= 0 for wi in w):
-                continue
-            key = (w, c)
-            if key not in found:
-                found[key] = [p for p, v in zip(pts, values) if v == c]
-
-    facets = []
-    for (w, c), on_points in sorted(found.items()):
-        verts = extreme_points(on_points)
-        facets.append(Facet(tuple(verts), w, c))
-    return NewtonDiagram(n, s, tuple(facets), tuple(sorted(vertices)))
+    found: dict[tuple[tuple[int, ...], int], tuple[int, ...]] = {}
+    for w, c, on in supporting_hyperplanes(pts):
+        if min(w) > 0:
+            found.setdefault((w, c), on)
+    facets = tuple(
+        Facet(tuple(extreme_points([pts[i] for i in on])), w, Fraction(c))
+        for (w, c), on in sorted(found.items())
+    )
+    return NewtonDiagram(s.n, s, facets, tuple(extreme_points(pts, plus_orthant=True)))
 
 
 @dataclass(frozen=True)
@@ -302,13 +261,29 @@ def validate_region(x: NewtonRegion, rng_seed: int = 0) -> None:
                 )
 
 
+def cone_over_visible_facets(s: SupportSet, apex: Vec, order_key=None) -> list[Simplex]:
+    """Cone apex over the diagram facets it sees strictly (w . apex < offset).
+
+    Each visible facet is pull-triangulated (optional pulling-order key)
+    and every cell gains the apex as its last vertex.
+    """
+    cells = []
+    for facet in newton_diagram(s).facets:
+        if sum(w * c for w, c in zip(facet.inner_normal, apex)) < facet.offset:
+            for cell in pull_triangulate(facet.vertices, order_key):
+                cells.append(Simplex(cell + (apex,)))
+    return cells
+
+
 def gamma_minus(s: SupportSet, vertex_order=None) -> NewtonRegion:
     """Region under the Newton diagram, triangulated by coning facet
     triangulations to the origin.
 
-    Requires a convenient support without the zero exponent.  The optional
-    vertex_order (a point -> rank map) replaces the lexicographic pulling
-    order; any fixed order yields a valid triangulation of the same region.
+    Requires a convenient support without the zero exponent, so every
+    compact facet has a positive offset and the origin sees all of them.
+    The optional vertex_order (a point -> rank map) replaces the
+    lexicographic pulling order; any fixed order yields a valid
+    triangulation of the same region.
     """
     convenient, missing = is_convenient(s)
     if not convenient:
@@ -320,15 +295,10 @@ def gamma_minus(s: SupportSet, vertex_order=None) -> NewtonRegion:
     origin = tuple(0 for _ in range(s.n))
     if origin in s.points:
         raise DomainError("support contains the zero exponent (unit term)")
-    diagram = newton_diagram(s)
     key = None
     if vertex_order is not None:
         key = lambda v: (vertex_order[tuple(v)], tuple(v))
-    simplices = []
-    for facet in diagram.facets:
-        for cell in pull_triangulate(facet.vertices, key):
-            simplices.append(Simplex(cell + (origin,)))
-    return NewtonRegion(s.n, tuple(simplices), source=s)
+    return NewtonRegion(s.n, tuple(cone_over_visible_facets(s, origin, key)), source=s)
 
 
 def restrict(x: NewtonRegion | SupportSet, I) -> NewtonRegion | SupportSet | None:
