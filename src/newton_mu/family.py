@@ -16,7 +16,13 @@ from fractions import Fraction
 from .errors import DecompositionError, DomainError, FormulaMismatchError
 from .geometry import Simplex, in_convex_hull
 from .newton import newton_number
-from .polyhedra import NewtonRegion, SupportSet, cone_over_visible_facets, gamma_minus
+from .polyhedra import (
+    NewtonRegion,
+    SupportSet,
+    _require_convenient,
+    cone_over_visible_facets,
+    gamma_minus,
+)
 
 FAMILY_DIMENSION = 4
 
@@ -58,7 +64,7 @@ class FamilyStep:
     def f0(self) -> SupportSet:
         rest = tuple(p for p in self.f1.points if p != self.removed)
         sub = SupportSet(self.f1.variables, rest)
-        gamma_minus(sub)  # raises NotConvenientError when an axis power is lost
+        _require_convenient(sub)  # the dropped point may have been an axis power
         return sub
 
 

@@ -263,14 +263,23 @@ def _chart(points) -> list[tuple[Fraction, ...]]:
 
 def supporting_hyperplanes(points):
     """Hyperplanes through d affinely independent points of R^d that leave
-    every point on one side (brute force over d-subsets, desk scale).
+    every point on one side.
 
-    Yields (w, c, on): w is the primitive integer normal oriented so that
-    w . p >= c for every point p, and on holds the indices of the points
-    with equality.  A hyperplane repeats once per spanning subset.  Integer
-    points are evaluated in integer arithmetic.
+    This is the one k-subset enumeration of the package: every affinely
+    independent d-subset spans a candidate, whose normal comes from one
+    `echelon` of the edge vectors.  The loop costs C(N, d) eliminations;
+    each distinct hyperplane is then evaluated once, however many subsets
+    span it, and its evaluation stops at the first point that shows points
+    strictly on both sides.
+
+    Yields (w, c, on) once per supporting hyperplane: w is the primitive
+    integer normal oriented so that w . p >= c for every point p, and on
+    holds the indices of the points with equality.  A hyperplane holding
+    every point supports them from both sides and is yielded in both
+    orientations.  Integer points are evaluated in integer arithmetic.
     """
     d = len(points[0])
+    seen = set()
     for subset in combinations(range(len(points)), d):
         base = points[subset[0]]
         rows, pivots, _ = echelon([[a - b for a, b in zip(points[j], base)] for j in subset[1:]])
@@ -280,16 +289,23 @@ def supporting_hyperplanes(points):
         w = primitive_integer_vector(
             back_substitute(rows, pivots, [Fraction(c not in pivots) for c in range(d)])
         )
-        values = [sum(wi * pi for wi, pi in zip(w, p)) for p in points]
-        c = values[subset[0]]
-        if min(values) == c:
-            sign = 1
-        elif max(values) == c:
-            sign = -1
-        else:
+        c = sum(wi * bi for wi, bi in zip(w, base))
+        if (w, c) in seen:
             continue
-        on = tuple(i for i, v in enumerate(values) if v == c)
-        yield tuple(sign * wi for wi in w), sign * c, on
+        seen.add((w, c))
+        side = 0
+        on = []
+        for i, p in enumerate(points):
+            value = sum(wi * pi for wi, pi in zip(w, p)) - c
+            if value == 0:
+                on.append(i)
+            elif side == 0:
+                side = 1 if value > 0 else -1
+            elif (value > 0) != (side > 0):
+                break
+        else:
+            for sign in (side,) if side else (1, -1):
+                yield tuple(sign * wi for wi in w), sign * c, tuple(on)
 
 
 def polytope_facets(points) -> list[tuple[int, ...]]:
@@ -301,7 +317,7 @@ def polytope_facets(points) -> list[tuple[int, ...]]:
     pts = [tuple(p) for p in points]
     if affine_dim(pts) == 0:
         return []
-    return sorted({on for _, _, on in supporting_hyperplanes(_chart(pts))})
+    return sorted(on for _, _, on in supporting_hyperplanes(_chart(pts)))
 
 
 def pull_triangulate(points, order_key=None) -> list[tuple[Vec, ...]]:

@@ -3,10 +3,14 @@
 A SupportSet is the exponent set of a power series.  Its Newton polyhedron
 is the hull of the translated orthants; the diagram is the union of compact
 faces, enumerated here as the facets with strictly positive inner normal.
-gamma_minus cones the diagram to the origin and triangulates it (pulling
-rule at the lexicographically least vertex), giving a NewtonRegion: a union
-of simplices with cached exact subset volumes, the single data structure
-every Newton-number computation consumes.
+`newton_diagram` finds them exactly from the non-dominated support points
+only (a point lying coordinatewise at or above another support point
+touches no compact face) and reads the diagram vertices off the facets,
+with an LP only for non-convenient supports; its docstring proves both
+steps.  gamma_minus cones the diagram to the origin and triangulates it
+(pulling rule at the lexicographically least vertex), giving a
+NewtonRegion: a union of simplices with cached exact subset volumes, the
+single data structure every Newton-number computation consumes.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ from .geometry import (
     Vec,
     coordinate_support,
     extreme_points,
+    in_convex_hull,
     pull_triangulate,
     supporting_hyperplanes,
 )
@@ -126,6 +131,17 @@ def is_convenient(s: SupportSet) -> tuple[bool, tuple[int, ...]]:
     return (not missing, missing)
 
 
+def _require_convenient(s: SupportSet) -> None:
+    """Raise NotConvenientError naming the axes without a pure power."""
+    convenient, missing = is_convenient(s)
+    if not convenient:
+        raise NotConvenientError(
+            "support misses pure powers on axes "
+            + ", ".join(str(i + 1) for i in missing),
+            missing,
+        )
+
+
 @dataclass(frozen=True)
 class Facet:
     """Compact facet of the Newton polyhedron: primitive inner normal > 0."""
@@ -146,21 +162,59 @@ class NewtonDiagram:
 def newton_diagram(s: SupportSet) -> NewtonDiagram:
     """Compact facets (strictly positive inner normal) plus diagram vertices.
 
+    Candidates are the non-dominated support points: p is dropped when
+    another support point q has q <= p coordinatewise.  Dropping p leaves
+    the polyhedron unchanged (p lies in q + orthant), and for every normal
+    w > 0, w . p > w . q, so p is strictly above every hyperplane that can
+    carry a compact facet: it is neither on a compact facet nor a vertex.
     Candidate hyperplanes run over affinely independent n-subsets of the
-    support; coplanar candidates merge.  A lower-dimensional diagram (no
-    compact facet of dimension n-1) is legal and yields an empty facet list.
+    candidates (`supporting_hyperplanes`); those with a positive normal are
+    the compact facets.  A facet holding exactly n candidates is the simplex
+    they span, so its vertices are those n points; only a facet with more
+    candidates on it filters them with `extreme_points`.  A
+    lower-dimensional diagram (no compact facet of dimension n-1) is legal
+    and yields an empty facet list.
+
+    The diagram vertices are the facet vertices, plus the candidates on no
+    compact facet that are vertices of the polyhedron.  For a convenient
+    support there is no such candidate other than a lone origin: a vertex
+    other than the origin lies on at least n facets; every facet normal w
+    is >= 0, and one with some w_j = 0 has offset 0 (the support has a
+    point a_j e_j, and w . a_j e_j = 0), so its face is the polyhedron's
+    intersection with {x_i = 0 : w_i > 0}, which is a facet only for
+    w = e_i.  A point on n distinct coordinate hyperplanes is the origin,
+    so every other vertex lies on a compact facet.  The remaining
+    candidates of a non-convenient support, and a lone candidate, are
+    tested with the exact LP of `in_convex_hull` against the other
+    candidates.
     """
     check_dimension(s.n)
-    pts = list(s.points)
-    found: dict[tuple[tuple[int, ...], int], tuple[int, ...]] = {}
-    for w, c, on in supporting_hyperplanes(pts):
-        if min(w) > 0:
-            found.setdefault((w, c), on)
-    facets = tuple(
-        Facet(tuple(extreme_points([pts[i] for i in on])), w, Fraction(c))
-        for (w, c), on in sorted(found.items())
+    pts = s.points
+    cands = [
+        p for p in pts
+        if not any(q != p and all(a <= b for a, b in zip(q, p)) for q in pts)
+    ]
+    found = sorted(
+        (w, c, on) for w, c, on in supporting_hyperplanes(cands) if min(w) > 0
     )
-    return NewtonDiagram(s.n, s, facets, tuple(extreme_points(pts, plus_orthant=True)))
+    facets = tuple(
+        Facet(
+            tuple(cands[i] for i in on) if len(on) == s.n
+            else tuple(extreme_points([cands[i] for i in on])),
+            w,
+            Fraction(c),
+        )
+        for w, c, on in found
+    )
+    vertices = {v for f in facets for v in f.vertices}
+    on_facet = {cands[i] for _, _, on in found for i in on}
+    if len(cands) == 1 or not is_convenient(s)[0]:
+        vertices.update(
+            p for p in cands
+            if p not in on_facet
+            and not in_convex_hull(p, [q for q in cands if q != p], plus_orthant=True)
+        )
+    return NewtonDiagram(s.n, s, facets, tuple(sorted(vertices)))
 
 
 @dataclass(frozen=True)
@@ -285,13 +339,7 @@ def gamma_minus(s: SupportSet, vertex_order=None) -> NewtonRegion:
     lexicographic pulling order; any fixed order yields a valid
     triangulation of the same region.
     """
-    convenient, missing = is_convenient(s)
-    if not convenient:
-        raise NotConvenientError(
-            "support misses pure powers on axes "
-            + ", ".join(str(i + 1) for i in missing),
-            missing,
-        )
+    _require_convenient(s)
     origin = tuple(0 for _ in range(s.n))
     if origin in s.points:
         raise DomainError("support contains the zero exponent (unit term)")

@@ -100,3 +100,24 @@ def test_multi_cell_difference_is_reported():
 def test_wrong_dimension_rejected():
     with pytest.raises(DomainError):
         FamilyStep(support([(3, 0), (0, 2)]), (3, 0))
+
+
+def test_truncated_support_is_checked_without_building_a_diagram(monkeypatch):
+    import newton_mu.polyhedra as polyhedra
+    from newton_mu.errors import NotConvenientError
+
+    builds = []
+    real = polyhedra.newton_diagram
+    monkeypatch.setattr(
+        polyhedra, "newton_diagram", lambda s: builds.append(s) or real(s)
+    )
+    builder, apex, ms, _, _, _ = FAMILY_FIXTURES[0]
+    step = FamilyStep(builder(min(ms)), apex)
+    step.f0
+    assert builds == []
+    s = support([(4, 0, 0, 0), (0, 4, 0, 0), (0, 0, 4, 0), (0, 0, 0, 4), (1, 1, 1, 1)])
+    with pytest.raises(NotConvenientError) as exc:
+        FamilyStep(s, (0, 0, 0, 4))
+    assert str(exc.value) == "support misses pure powers on axes 4"
+    assert exc.value.missing_axes == (3,)
+    assert builds == []
