@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import factorial
+from math import factorial, prod
 
 from .errors import InvalidRegionError
 from .linalg import back_substitute, determinant, echelon, primitive_integer_vector, rank, solve
@@ -139,6 +139,53 @@ class Simplex:
         return all(c >= 0 for c in coeffs) and sum(coeffs) <= 1
 
 
+def _barycentric_rows(vertices) -> list[list] | None:
+    """One row (w, c) per vertex of n + 1 points in R^n with w . p + c =
+    |det| * (p's barycentric coordinate at that vertex), so p lies in the
+    simplex iff every row is >= 0 at p; None for a zero determinant.
+
+    One `echelon` of the edge matrix beside the identity gives the
+    determinant and, by back-substitution, the inverse.  |det| times the
+    inverse is the adjugate up to sign: integers for integer vertices,
+    exact Fractions for rational ones.
+    """
+    base = vertices[0]
+    n = len(base)
+    rows, pivots, _ = echelon(
+        [[v[i] - base[i] for v in vertices[1:]] + [int(t == i) for t in range(n)] for i in range(n)]
+    )
+    # [edges | I] has rank n, so pivots has n entries; the edges are
+    # independent iff all of them lie in the first n columns
+    if pivots[-1] != n - 1:
+        return None
+    scale = abs(prod(rows[i][i] for i in range(n)))  # |det|; the row swaps only flip its sign
+    inverse_cols = [
+        back_substitute([row[:n] + [row[n + k]] for row in rows], pivots, [0] * n)
+        for k in range(n)
+    ]
+    # |det| lambda_j(p) = w_j . (p - base), w_j = |det| (inverse row j), for
+    # j >= 1, and lambda_0 = 1 - (the other lambdas)
+    functionals = []
+    for j in range(n):
+        w = [_exact(col[j] * scale) for col in inverse_cols]
+        functionals.append(w + [-sum(a * b for a, b in zip(w, base))])
+    functionals.insert(0, [-sum(col) for col in zip(*functionals)])
+    functionals[0][n] += _exact(scale)
+    return functionals
+
+
+def _exact(x: Fraction):
+    """x as an int when it is integral, else unchanged."""
+    return x.numerator if x.denominator == 1 else x
+
+
+def _covers(rows, total, count) -> bool:
+    """Does the simplex with barycentric rows `rows` contain total / count
+    (count > 0)?  A centroid is tested as (sum of vertices, vertex count),
+    a lattice point of the k-th dilate as (point, k)."""
+    return all(sum(w * t for w, t in zip(row, total)) + row[-1] * count >= 0 for row in rows)
+
+
 def simplex_volume(s: Simplex) -> Fraction:
     """k-volume of a k-simplex (0 for degenerate vertex sets)."""
     return s.volume()
@@ -218,14 +265,13 @@ def in_convex_hull(point: Vec, points: list[Vec], plus_orthant: bool = False) ->
     return linear_feasible(rows, rhs)
 
 
-def extreme_points(points, plus_orthant: bool = False) -> list[Vec]:
-    """Vertices of conv(points) (optionally + nonnegative orthant), in
-    lexicographic order."""
+def extreme_points(points) -> list[Vec]:
+    """Vertices of conv(points), in lexicographic order."""
     pts = sorted(set(tuple(p) for p in points))
     out = []
     for i, p in enumerate(pts):
         others = pts[:i] + pts[i + 1 :]
-        if not others or not in_convex_hull(p, others, plus_orthant):
+        if not others or not in_convex_hull(p, others):
             out.append(p)
     return out
 

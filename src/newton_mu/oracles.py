@@ -2,13 +2,15 @@
 
 Volumes are recomputed by lattice-point counting and interpolation, and
 Milnor numbers by exact linear algebra on truncated Jacobian ideals; both
-avoid the diagram and triangulation code, though the counting oracle
-shares the exact elimination of `linalg` (determinants, Cramer data and
-the interpolation solve) with the main machinery.  The shuffled-order
-oracle reuses the diagram and pulling code with a different vertex order,
-so it checks only that the Newton number does not depend on the pulling
-order, not that the diagram is right.  All are deliberately slow and kept
-to small inputs.
+avoid the diagram and triangulation code.  The counting oracle tests
+lattice points with the barycentric rows of `geometry._barycentric_rows`,
+the same helper that `polyhedra.validate_region` screens overlaps with,
+and solves its interpolation with `linalg`, so a fault in that helper or
+in the elimination can reach both sides of a comparison.  The
+shuffled-order oracle reuses the diagram and pulling code with a different
+vertex order, so it checks only that the Newton number does not depend on
+the pulling order, not that the diagram is right.  All are deliberately
+slow and kept to small inputs.
 """
 
 from __future__ import annotations
@@ -19,10 +21,10 @@ from fractions import Fraction
 from itertools import product as iter_product
 
 from .errors import DomainError, StabilizationError
-from .geometry import Simplex
-from .linalg import determinant, solve
+from .geometry import Simplex, _barycentric_rows, _covers
+from .linalg import solve
 from .newton import newton_number
-from .polyhedra import NewtonRegion, SupportSet, gamma_minus, newton_diagram
+from .polyhedra import NewtonRegion, SupportSet, gamma_minus
 
 ORACLE_MAX_DIMENSION = 3
 ORACLE_MAX_DEGREE = 8
@@ -83,48 +85,6 @@ def _integer_vertices(simplices) -> None:
                     raise DomainError("lattice counting needs integer vertices")
 
 
-class _FastMembership:
-    """Integer Cramer test for a full-dimensional lattice simplex.
-
-    Precomputes the adjugate of the edge matrix so that each point costs a
-    few integer dot products: the barycentric numerators must share the
-    determinant's sign and sum to at most |det|.
-    """
-
-    def __init__(self, simplex: Simplex):
-        n = simplex.n
-        base = tuple(int(c) for c in simplex.vertices[0])
-        cols = [
-            [int(v[i]) - base[i] for i in range(n)]
-            for v in simplex.vertices[1:]
-        ]
-        matrix = [[Fraction(cols[j][i]) for j in range(n)] for i in range(n)]
-        det = determinant(matrix)
-        inverse_rows = []
-        for i in range(n):
-            rhs = [Fraction(1) if t == i else Fraction(0) for t in range(n)]
-            col = solve(matrix, rhs)
-            inverse_rows.append(col)
-        # solve(matrix, e_j) yields column j of the inverse, so the j-th
-        # barycentric functional is det * (that column read across rows)
-        self.base = base
-        self.sign = 1 if det > 0 else -1
-        self.rows = [
-            [int(det * inverse_rows[i][j]) for i in range(n)] for j in range(n)
-        ]
-        self.abs_det = abs(int(det))
-
-    def contains(self, point) -> bool:
-        diff = [point[i] - self.base[i] for i in range(len(self.base))]
-        total = 0
-        for row in self.rows:
-            value = self.sign * sum(r * d for r, d in zip(row, diff))
-            if value < 0:
-                return False
-            total += value
-        return total <= self.abs_det
-
-
 def ehrhart_volume(x: NewtonRegion | Simplex) -> Fraction:
     """Top-degree coefficient of the lattice-point counting polynomial.
 
@@ -143,24 +103,27 @@ def ehrhart_volume(x: NewtonRegion | Simplex) -> Fraction:
         raise DomainError("lattice counting needs dimension at least 1")
     _integer_vertices(region.simplices)
 
+    # p lies in the k-th dilate of a cell iff p / k lies in the cell, so the
+    # barycentric rows of the undilated cells serve every dilate
+    fast = []
+    slow = []
+    for s in region.simplices:
+        rows = _barycentric_rows(s.vertices) if s.dim == n else None
+        if rows is None:
+            slow.append(s)
+        else:
+            fast.append(rows)
+    box = [max(int(v[i]) for s in region.simplices for v in s.vertices) for i in range(n)]
     counts = []
     for k in range(1, n + 2):
         dilated = [
             Simplex(tuple(tuple(int(c) * k for c in v) for v in s.vertices))
-            for s in region.simplices
+            for s in slow
         ]
-        fast = []
-        slow = []
-        for s in dilated:
-            if s.dim == n and not s.is_degenerate:
-                fast.append(_FastMembership(s))
-            else:
-                slow.append(s)
-        box = [max(v[i] for s in dilated for v in s.vertices) for i in range(n)]
         count = 0
-        for point in iter_product(*(range(int(b) + 1) for b in box)):
-            if any(f.contains(point) for f in fast) or any(
-                s.contains_point(point) for s in slow
+        for point in iter_product(*(range(b * k + 1) for b in box)):
+            if any(_covers(rows, point, k) for rows in fast) or any(
+                s.contains_point(point) for s in dilated
             ):
                 count += 1
         counts.append(Fraction(count))
@@ -173,14 +136,14 @@ def ehrhart_volume(x: NewtonRegion | Simplex) -> Fraction:
 def shuffled_newton_number(s: SupportSet, seed: int) -> Fraction:
     """Newton number recomputed with a seeded random triangulation order.
 
-    The pulling order is a shuffle of the diagram vertices instead of the
+    The pulling order is a shuffle of the support points instead of the
     lexicographic default; the resulting triangulation differs but the
-    number may not.
+    number may not.  The support points include every diagram vertex, and
+    a uniform shuffle of them orders the vertices uniformly, so only
+    gamma_minus builds the diagram.
     """
-    diagram = newton_diagram(s)
-    verts = sorted({v for facet in diagram.facets for v in facet.vertices})
     rng = random.Random(seed)
-    shuffled = list(verts)
+    shuffled = list(s.points)
     rng.shuffle(shuffled)
     order = {v: i for i, v in enumerate(shuffled)}
     region = gamma_minus(s, vertex_order=order)

@@ -29,6 +29,8 @@ from .errors import (
 from .geometry import (
     Simplex,
     Vec,
+    _barycentric_rows,
+    _covers,
     coordinate_support,
     extreme_points,
     in_convex_hull,
@@ -288,30 +290,46 @@ def region_from_simplices(simplices, source: SupportSet | None = None) -> Newton
 
 
 def validate_region(x: NewtonRegion, rng_seed: int = 0) -> None:
-    """Cheap overlap screening: exact centroid-in-other tests on pairs.
+    """Overlap screen: exact centroid-in-other tests on pairs of cells.
 
-    Full pairwise when small; seeded sample of pairs beyond that.  A centroid
-    of one simplex inside another proves an interior overlap.
+    Only the full-dimensional cells take part: those with n + 1 affinely
+    independent vertices; lower-dimensional and degenerate cells are
+    skipped.  With k such cells, every one of the k(k-1)/2 pairs is tested
+    when there are at most 300, else a sample of 300 drawn by
+    random.Random(rng_seed).sample.  For each pair (a, b) the centroid of a
+    is tested against b, then the centroid of b against a, and the first
+    centroid found in the other cell (boundary included) raises
+    InvalidRegionError.  Such a centroid is an interior point of its cell,
+    so it proves an interior overlap.
+
+    Passing is a screen, not a proof that the cells triangulate a region:
+    unsampled pairs are not tested, two cells can overlap with neither
+    centroid in the other, and gaps and improperly glued faces are not
+    looked for.  Each cell's barycentric rows (`geometry._barycentric_rows`)
+    are computed once, and each centroid is tested as the sum of its
+    vertices over n + 1, in integer arithmetic for integer vertices.
     """
     import random
 
-    sims = [s for s in x.simplices if s.dim == x.n and not s.is_degenerate]
-    k = len(sims)
-    if k < 2:
+    top = [s for s in x.simplices if s.dim == x.n]
+    if len(top) < 2:
         return
+    cells = []
+    for s in top:
+        rows = _barycentric_rows(s.vertices)
+        if rows is not None:
+            cells.append((s.vertices, rows, tuple(map(sum, zip(*s.vertices)))))
+    k = len(cells)
     pairs = [(i, j) for i in range(k) for j in range(i + 1, k)]
     if len(pairs) > 300:
         rng = random.Random(rng_seed)
         pairs = rng.sample(pairs, 300)
+    count = x.n + 1
     for i, j in pairs:
-        for a, b in ((sims[i], sims[j]), (sims[j], sims[i])):
-            m = len(a.vertices)
-            centroid = tuple(
-                sum(Fraction(v[t]) for v in a.vertices) / m for t in range(x.n)
-            )
-            if b.contains_point(centroid):
+        for (a, _, total), (b, rows, _) in ((cells[i], cells[j]), (cells[j], cells[i])):
+            if _covers(rows, total, count):
                 raise InvalidRegionError(
-                    f"simplices overlap: centroid of {a.vertices} lies in {b.vertices}"
+                    f"simplices overlap: centroid of {a} lies in {b}"
                 )
 
 

@@ -19,6 +19,7 @@ from hypothesis import given, settings, strategies as st
 from newton_mu.geometry import (
     affine_dim,
     extreme_points,
+    in_convex_hull,
     polytope_facets,
     supporting_hyperplanes,
 )
@@ -59,7 +60,12 @@ def reference_diagram(s) -> NewtonDiagram:
         for (w, c), on in sorted(reference_hyperplanes(pts).items())
         if min(w) > 0
     )
-    return NewtonDiagram(s.n, s, facets, tuple(extreme_points(pts, plus_orthant=True)))
+    vertices = tuple(
+        p
+        for i, p in enumerate(pts)
+        if len(pts) == 1 or not in_convex_hull(p, pts[:i] + pts[i + 1 :], plus_orthant=True)
+    )
+    return NewtonDiagram(s.n, s, facets, vertices)
 
 
 def random_support(rng: random.Random, n: int, convenient: bool, origin: bool):
@@ -78,10 +84,10 @@ def random_support(rng: random.Random, n: int, convenient: bool, origin: bool):
     return support(sorted(pts)) if pts else None
 
 
-def test_kernel_matches_reference_on_seeded_supports():
+def seeded_supports():
+    """The 160 seeded supports of the kernel test, n = 1..4 in turn."""
     rng = random.Random(20261018)
     checked = 0
-    kinds = set()
     while checked < 160:
         n = 1 + checked % 4
         convenient = rng.random() < 0.5
@@ -89,9 +95,15 @@ def test_kernel_matches_reference_on_seeded_supports():
         s = random_support(rng, n, convenient, origin)
         if s is None:
             continue
-        assert repr(newton_diagram(s)) == repr(reference_diagram(s)), s.points
-        kinds.add((is_convenient(s)[0], (0,) * n in s.points))
+        yield s
         checked += 1
+
+
+def test_kernel_matches_reference_on_seeded_supports():
+    kinds = set()
+    for s in seeded_supports():
+        assert repr(newton_diagram(s)) == repr(reference_diagram(s)), s.points
+        kinds.add((is_convenient(s)[0], (0,) * s.n in s.points))
     assert len(kinds) == 4  # convenient or not, with and without the origin
 
 

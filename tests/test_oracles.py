@@ -71,6 +71,25 @@ def test_shuffled_matches_canonical():
             assert shuffled_newton_number(s, seed) == canon
 
 
+def test_shuffled_builds_the_diagram_once(monkeypatch):
+    import newton_mu.oracles as oracles
+    import newton_mu.polyhedra as polyhedra
+
+    builds = []
+    real = polyhedra.newton_diagram
+    # wrap every binding a call can reach, as the benchmark tracer does
+    for module in (polyhedra, oracles):
+        if hasattr(module, "newton_diagram"):
+            monkeypatch.setattr(
+                module, "newton_diagram", lambda s: builds.append(s) or real(s)
+            )
+    s = support([(4, 0, 0), (0, 4, 0), (0, 0, 4), (1, 1, 1)])
+    for seed in range(1, 4):
+        builds.clear()
+        assert shuffled_newton_number(s, seed) == 11
+        assert builds == [s]
+
+
 def test_colength_frozen_values():
     # classical values, each recomputable by hand from the Jacobian ideal
     assert milnor_colength(poly(2, {(3, 0): 1, (0, 2): 1})) == 2
