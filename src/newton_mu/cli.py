@@ -12,6 +12,7 @@ import argparse
 import json
 import shlex
 import sys
+from math import factorial
 
 from .bounds import BoundCertificate, milnor_lower_bound
 from .errors import NewtonMuError, UsageError
@@ -110,16 +111,19 @@ def _read_json(path: str):
         raise UsageError(f"{path} is not valid JSON: {e}")
 
 
-def _load_series(ns):
-    """Returns (SupportSet, ParsedSeries | None)."""
-    if getattr(ns, "poly", None) and getattr(ns, "support", None):
-        raise UsageError("give --poly or --support, not both")
-    if getattr(ns, "poly", None):
-        parsed = parse_series(ns.poly)
+def _load_series(ns, text="poly", path="support"):
+    """(SupportSet, ParsedSeries | None) from exactly one of two flags: the
+    series text `text` or the support JSON file `path` (attribute names).
+    An empty flag counts as absent."""
+    given = [name for name in (text, path) if getattr(ns, name)]
+    if len(given) != 1:
+        # the messages name the two flags in sorted order
+        a, b = sorted("--" + name.replace("_", "-") for name in (text, path))
+        raise UsageError(f"give {a} or {b}, not both" if given else f"need {a} or {b}")
+    if given[0] == text:
+        parsed = parse_series(getattr(ns, text))
         return parsed.support(), parsed
-    if getattr(ns, "support", None):
-        return support_from_json(_read_json(ns.support)), None
-    raise UsageError("need --poly or --support")
+    return support_from_json(_read_json(getattr(ns, path))), None
 
 
 def _simplices_json(region) -> list:
@@ -150,8 +154,6 @@ def _cmd_diagram(ns) -> dict:
     diagram = newton_diagram(s)
     convenient, missing = is_convenient(s)
     return {
-        "schema": SCHEMA,
-        "command": "diagram",
         "variables": list(s.variables),
         "n": s.n,
         "convenient": convenient,
@@ -181,12 +183,9 @@ def _nn_oracles(s: SupportSet, region, report) -> dict:
     }
     if s.n <= ORACLE_MAX_DIMENSION:
         volume = ehrhart_volume(region)
-        factorial = 1
-        for k in range(2, s.n + 1):
-            factorial *= k
         top = region.subset_volumes()[frozenset(range(s.n))]
         out["ehrhart_volume"] = frac_str(volume)
-        out["ehrhart_agrees"] = factorial * volume == top
+        out["ehrhart_agrees"] = factorial(s.n) * volume == top
     else:
         out["ehrhart_volume"] = None
         out["ehrhart_agrees"] = None
@@ -198,8 +197,6 @@ def _cmd_nn(ns) -> dict:
     region = gamma_minus(s)
     report = newton_number(region)
     out = {
-        "schema": SCHEMA,
-        "command": "nn",
         "n": s.n,
         "nu": frac_str(report.total),
         "terms": [
@@ -224,8 +221,6 @@ def _cmd_rnn(ns) -> dict:
     region = gamma_minus(s)
     report = r_newton_number(region, dt)
     return {
-        "schema": SCHEMA,
-        "command": "rnn",
         "n": s.n,
         "r": report.r,
         "d": list(report.d),
@@ -264,8 +259,6 @@ def _cmd_bound(ns) -> dict:
     oracle = _bound_oracle(parsed) if ns.with_oracles else None
     cert = milnor_lower_bound(s, a, oracle_mu=oracle["mu"] if oracle else None)
     out = {
-        "schema": SCHEMA,
-        "command": "bound",
         "n": s.n,
         "certificate": _certificate_json(cert),
     }
@@ -281,8 +274,6 @@ def _cmd_sciv_bound(ns) -> dict:
     dt = DegreeTuple(len(d), d)
     cert = sciv_milnor_bound(s, dt, a)
     return {
-        "schema": SCHEMA,
-        "command": "sciv-bound",
         "n": s.n,
         "certificate": _certificate_json(cert),
     }
@@ -293,8 +284,6 @@ def _cmd_vanish(ns) -> dict:
     region = gamma_minus(s)
     report = vanishing_check(region)
     return {
-        "schema": SCHEMA,
-        "command": "vanish",
         "n": s.n,
         "nu": frac_str(report.total),
         "unit_axes": [j + 1 for j in report.unit_axes],
@@ -310,22 +299,13 @@ def _cmd_vanish(ns) -> dict:
 
 def _cmd_decompose(ns) -> dict:
     outer, _ = _load_series(ns)
-    if ns.inner and ns.inner_poly:
-        raise UsageError("give --inner or --inner-poly, not both")
-    if ns.inner:
-        inner = support_from_json(_read_json(ns.inner))
-    elif ns.inner_poly:
-        inner = parse_series(ns.inner_poly).support()
-    else:
-        raise UsageError("need --inner or --inner-poly")
+    inner, _ = _load_series(ns, text="inner_poly", path="inner")
     x = gamma_minus(outer)
     y = gamma_minus(inner)
     nu_x = newton_number(x).total
     nu_y = newton_number(y).total
     pieces = decompose_difference(x, y)
     return {
-        "schema": SCHEMA,
-        "command": "decompose",
         "n": outer.n,
         "nu_outer": frac_str(nu_x),
         "nu_inner": frac_str(nu_y),
@@ -342,20 +322,11 @@ def _cmd_decompose(ns) -> dict:
 
 
 def _cmd_family_check(ns) -> dict:
-    if ns.f1 and ns.poly:
-        raise UsageError("give --f1 or --poly, not both")
-    if ns.f1:
-        f1 = support_from_json(_read_json(ns.f1))
-    elif ns.poly:
-        f1 = parse_series(ns.poly).support()
-    else:
-        raise UsageError("need --f1 or --poly")
+    f1, _ = _load_series(ns, path="f1")
     vertex = parse_point(ns.vertex)
     step = FamilyStep(f1, vertex)
     verdict = negligible_truncation_check(step)
     return {
-        "schema": SCHEMA,
-        "command": "family-check",
         "case": verdict.case,
         "witness": None if verdict.witness is None else point_json(verdict.witness),
         "permutation": None
@@ -381,6 +352,19 @@ _HANDLERS = {
 }
 
 
+def _run_line(line: str):
+    """(exit code, envelope) of one batch line."""
+    try:
+        args = shlex.split(line)
+    except ValueError as e:  # unbalanced quotes or a trailing backslash
+        error = UsageError(f"cannot split the line: {e}")
+    else:
+        if "--batch" not in args:
+            return run(args)
+        error = UsageError("batch files cannot nest")
+    return 1, {"schema": SCHEMA, "error": error.payload()}
+
+
 def _run_batch(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -393,14 +377,7 @@ def _run_batch(path: str):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
-        args = shlex.split(stripped)
-        if "--batch" in args:
-            code, payload = 1, {
-                "schema": SCHEMA,
-                "error": {"type": "usage", "message": "batch files cannot nest"},
-            }
-        else:
-            code, payload = run(args)
+        code, payload = _run_line(stripped)
         codes.append(code)
         results.append({"command": stripped, "exit": code, "output": payload})
     if not codes:
@@ -425,7 +402,7 @@ def run(argv) -> tuple[int, object]:
             return _run_batch(ns.batch)
         if not ns.verb:
             raise UsageError("missing verb (try diagram, nn, rnn, bound, ...)")
-        return 0, _HANDLERS[ns.verb](ns)
+        return 0, {"schema": SCHEMA, "command": ns.verb, **_HANDLERS[ns.verb](ns)}
     except UsageError as e:
         return 1, {"schema": SCHEMA, "error": e.payload()}
     except NewtonMuError as e:

@@ -8,10 +8,11 @@ simplifications used throughout:
   * a simplex meets a coordinate subspace R^I exactly in the face spanned
     by its vertices lying in R^I.
 
-Volumes are only ever needed for simplices lying in axis-parallel coordinate
-subspaces, so the k-volume of a k-simplex is computed by dropping the
-coordinates that vanish on all vertices and taking a full-dimensional
-determinant.  No Gram determinants.
+Every point-set quantity comes from one forward elimination of the edge
+vectors p - p0 (`_frame`): the affine dimension is its pivot count, the
+chart of the affine hull keeps the pivot coordinates, and the volume of a
+simplex in an axis-parallel coordinate subspace is the pivot product, up to
+sign.  No Gram determinants.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from itertools import combinations
 from math import factorial, prod
 
 from .errors import InvalidRegionError
-from .linalg import back_substitute, determinant, echelon, primitive_integer_vector, rank, solve
+from .linalg import back_substitute, echelon, primitive_integer_vector
 
 Vec = tuple  # tuple of int | Fraction, all >= 0
 
@@ -74,13 +75,9 @@ class Simplex:
         """Combinatorial dimension (vertex count - 1)."""
         return len(self.vertices) - 1
 
-    def edge_matrix(self) -> list[list[Fraction]]:
-        base = self.vertices[0]
-        return [list(vec_sub(v, base)) for v in self.vertices[1:]]
-
     @property
     def is_degenerate(self) -> bool:
-        return rank(self.edge_matrix()) < self.dim
+        return len(_frame(self.vertices)[1]) < self.dim
 
     def contains_origin(self) -> bool:
         return any(is_origin(v) for v in self.vertices)
@@ -92,30 +89,25 @@ class Simplex:
     def normalized_volume(self) -> Fraction:
         """dim! times the dim-volume, inside the simplex's coordinate subspace.
 
-        Requires the simplex to span an axis-parallel coordinate flat: the
-        coordinates that are nonzero somewhere must number exactly dim
-        (else: fewer vertices than directions means degenerate, more means
-        the volume is not an axis-parallel coordinate-subspace volume and
-        is out of scope).
+        A degenerate simplex has volume 0.  Otherwise the coordinates that
+        are nonzero somewhere (the live ones) must number exactly dim: with
+        more, the simplex spans no axis-parallel coordinate flat and its
+        volume is out of scope.
         """
         k = self.dim
         if k == 0:
             return Fraction(1)
-        live = sorted(set().union(*[coordinate_support(v) for v in self.vertices]))
-        if len(live) < k:
+        rows, pivots, _ = _frame(self.vertices)
+        if len(pivots) < k:
             return Fraction(0)
-        if len(live) > k:
-            if rank(self.edge_matrix()) < k:
-                return Fraction(0)
+        # the edges vanish off the live coordinates, so the k pivots lie
+        # among them, and with exactly k live coordinates the pivot product
+        # is the determinant there up to sign
+        if len(set().union(*[coordinate_support(v) for v in self.vertices])) > k:
             raise InvalidRegionError(
                 "volume requested for a simplex outside any coordinate subspace"
             )
-        base = self.vertices[0]
-        edges = [
-            [Fraction(v[i]) - Fraction(base[i]) for i in live]
-            for v in self.vertices[1:]
-        ]
-        return abs(determinant(edges))
+        return abs(prod(row[c] for row, c in zip(rows, pivots)))
 
     def volume(self) -> Fraction:
         return self.normalized_volume() / factorial(self.dim)
@@ -281,30 +273,28 @@ def extreme_points(points) -> list[Vec]:
 # ---------------------------------------------------------------------------
 
 
+def _frame(points):
+    """`echelon` of the edge vectors p - points[0] (points nonempty).
+
+    Its pivot count is the affine dimension, and its pivot columns give a
+    chart: the echelon rows restricted to them are triangular with nonzero
+    diagonal, so dropping the other coordinates is injective on the affine
+    hull.
+    """
+    base = points[0]
+    return echelon([[a - b for a, b in zip(p, base)] for p in points[1:]])
+
+
 def affine_dim(points) -> int:
     pts = [tuple(p) for p in points]
-    if len(pts) <= 1:
-        return 0
-    return rank([list(vec_sub(p, pts[0])) for p in pts[1:]])
+    return len(_frame(pts)[1]) if pts else 0
 
 
-def _chart(points) -> list[tuple[Fraction, ...]]:
-    """Affine coordinates of the points inside their own affine hull."""
-    base = points[0]
-    basis: list[tuple[Fraction, ...]] = []
-    for p in points[1:]:
-        cand = vec_sub(p, base)
-        if rank([list(b) for b in basis] + [list(cand)]) > len(basis):
-            basis.append(cand)
-    d = len(basis)
-    matrix = [[basis[j][i] for j in range(d)] for i in range(len(base))]
-    coords = []
-    for p in points:
-        sol = solve(matrix, list(vec_sub(p, base)))
-        if sol is None:
-            raise ArithmeticError("point left its own affine hull")
-        coords.append(tuple(sol))
-    return coords
+def _chart(points) -> list[tuple]:
+    """The points in coordinates of their own affine hull: the pivot
+    coordinates of their frame, so integer points keep integer charts."""
+    pivots = _frame(points)[1]
+    return [tuple(p[c] for c in pivots) for p in points]
 
 
 def supporting_hyperplanes(points):
@@ -312,11 +302,11 @@ def supporting_hyperplanes(points):
     every point on one side.
 
     This is the one k-subset enumeration of the package: every affinely
-    independent d-subset spans a candidate, whose normal comes from one
-    `echelon` of the edge vectors.  The loop costs C(N, d) eliminations;
-    each distinct hyperplane is then evaluated once, however many subsets
-    span it, and its evaluation stops at the first point that shows points
-    strictly on both sides.
+    independent d-subset spans a candidate, whose normal comes from the
+    subset's `_frame`.  The loop costs C(N, d) eliminations; each distinct
+    hyperplane is then evaluated once, however many subsets span it, and
+    its evaluation stops at the first point that shows points strictly on
+    both sides.
 
     Yields (w, c, on) once per supporting hyperplane: w is the primitive
     integer normal oriented so that w . p >= c for every point p, and on
@@ -328,7 +318,7 @@ def supporting_hyperplanes(points):
     seen = set()
     for subset in combinations(range(len(points)), d):
         base = points[subset[0]]
-        rows, pivots, _ = echelon([[a - b for a, b in zip(points[j], base)] for j in subset[1:]])
+        rows, pivots, _ = _frame([points[j] for j in subset])
         if len(pivots) < d - 1:
             continue
         # d - 1 independent rows in d columns leave exactly one free column
@@ -361,9 +351,10 @@ def polytope_facets(points) -> list[tuple[int, ...]]:
     on a facet's hyperplane are included in that facet's index set).
     """
     pts = [tuple(p) for p in points]
-    if affine_dim(pts) == 0:
-        return []
-    return sorted(on for _, _, on in supporting_hyperplanes(_chart(pts)))
+    chart = _chart(pts) if pts else [()]
+    if not chart[0]:
+        return []  # affine dimension 0
+    return sorted(on for _, _, on in supporting_hyperplanes(chart))
 
 
 def pull_triangulate(points, order_key=None) -> list[tuple[Vec, ...]]:

@@ -7,6 +7,11 @@ neither normalized nor reduced upward, because most callers only need the
 rank or the pivot product.  Sizes stay tiny (ambient dimension <= 6, the
 oracles' dense systems at most 4 x 4), so no fraction-free tricks are
 needed.
+
+`determinant`, `rank` and `nullspace_vector` no longer have a caller in the
+package: `geometry` reads dimension, charts and volumes off one `echelon`.
+They are kept as the independent references that the tests freeze and
+compare against.
 """
 
 from __future__ import annotations

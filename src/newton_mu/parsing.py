@@ -272,7 +272,7 @@ def support_from_json(data) -> SupportSet:
     points = []
     for entry in monomials:
         if not isinstance(entry, list) or not all(
-            isinstance(c, int) and c >= 0 for c in entry
+            isinstance(c, int) and not isinstance(c, bool) and c >= 0 for c in entry
         ):
             raise ParseError(f"bad monomial entry {entry!r}", 0)
         if points and len(entry) != len(points[0]):

@@ -158,6 +158,22 @@ def test_batch_all_green(tmp_path):
     assert all(r["exit"] == 0 for r in out["results"])
 
 
+def test_batch_reports_unsplittable_line(tmp_path):
+    batch = tmp_path / "cmds.txt"
+    batch.write_text('nn --poly "x^2\nnn --poly x^3+y^2\nnn --batch other.txt\n')
+    code, out = run(["--batch", str(batch)])
+    assert code == 1
+    results = out["results"]
+    assert [r["exit"] for r in results] == [1, 0, 1]
+    assert results[0]["command"] == 'nn --poly "x^2'
+    assert results[0]["output"] == {
+        "schema": SCHEMA,
+        "error": {"type": "usage", "message": "cannot split the line: No closing quotation"},
+    }
+    assert results[1]["output"]["nu"] == "2"
+    assert results[2]["output"]["error"] == {"type": "usage", "message": "batch files cannot nest"}
+
+
 def test_output_is_deterministic():
     a = run(["nn", "--poly", "x^3 + x*y + y^2", "--with-oracles"])
     b = run(["nn", "--poly", "x^3 + x*y + y^2", "--with-oracles"])

@@ -113,3 +113,6 @@ def test_support_json_validation():
         support_from_json({"monomials": [[1, 0], [0]]})
     with pytest.raises(ParseError):
         support_from_json([1, 2, 3])
+    # JSON true/false are Python bools, which are ints: still no exponents
+    with pytest.raises(ParseError, match="bad monomial entry"):
+        support_from_json({"monomials": [[True, 0], [0, 2]]})
