@@ -12,6 +12,7 @@ import argparse
 import json
 import shlex
 import sys
+from functools import cache
 from math import factorial
 
 from .bounds import BoundCertificate, milnor_lower_bound
@@ -99,6 +100,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--poly", help="richer series as text")
     p.add_argument("--vertex", required=True, help="dropped vertex, e.g. 1,1,1,0")
     return parser
+
+
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser that every `run` call shares, built on the first one (not
+    at import).  Parsing leaves no state in it: each call returns a new
+    namespace."""
+    return build_parser()
 
 
 def _read_json(path: str):
@@ -394,8 +403,7 @@ def _run_batch(path: str):
 def run(argv) -> tuple[int, object]:
     """Library entry point: returns (exit code, JSON-serializable payload)."""
     try:
-        parser = build_parser()
-        ns = parser.parse_args(argv)
+        ns = _parser().parse_args(argv)
         if ns.batch:
             if ns.verb:
                 raise UsageError("--batch replaces the verb; put verbs in the file")

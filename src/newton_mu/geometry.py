@@ -8,11 +8,12 @@ simplifications used throughout:
   * a simplex meets a coordinate subspace R^I exactly in the face spanned
     by its vertices lying in R^I.
 
-Every point-set quantity comes from one forward elimination of the edge
-vectors p - p0 (`_frame`): the affine dimension is its pivot count, the
-chart of the affine hull keeps the pivot coordinates, and the volume of a
-simplex in an axis-parallel coordinate subspace is the pivot product, up to
-sign.  No Gram determinants.
+Every point-set quantity comes from one fraction-free elimination of the
+edge vectors p - p0 (`_frame`): the affine dimension is its pivot count,
+the chart of the affine hull keeps the pivot coordinates, and the volume
+of a simplex in an axis-parallel coordinate subspace is the last pivot, up
+to sign, because that pivot is the minor on all pivot columns.  Integer
+points stay in integer arithmetic.  No Gram determinants.
 """
 
 from __future__ import annotations
@@ -20,10 +21,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import factorial, prod
+from math import factorial, gcd, lcm
 
 from .errors import InvalidRegionError
-from .linalg import back_substitute, echelon, primitive_integer_vector
+from .linalg import back_substitute, echelon
 
 Vec = tuple  # tuple of int | Fraction, all >= 0
 
@@ -92,7 +93,7 @@ class Simplex:
         A degenerate simplex has volume 0.  Otherwise the coordinates that
         are nonzero somewhere (the live ones) must number exactly dim: with
         more, the simplex spans no axis-parallel coordinate flat and its
-        volume is out of scope.
+        volume is out of scope.  The value is |last pivot| of the frame.
         """
         k = self.dim
         if k == 0:
@@ -101,13 +102,14 @@ class Simplex:
         if len(pivots) < k:
             return Fraction(0)
         # the edges vanish off the live coordinates, so the k pivots lie
-        # among them, and with exactly k live coordinates the pivot product
-        # is the determinant there up to sign
+        # among them, and with exactly k live coordinates the last pivot,
+        # the minor on all k pivot columns, is the determinant there up to
+        # sign
         if len(set().union(*[coordinate_support(v) for v in self.vertices])) > k:
             raise InvalidRegionError(
                 "volume requested for a simplex outside any coordinate subspace"
             )
-        return abs(prod(row[c] for row, c in zip(rows, pivots)))
+        return Fraction(abs(rows[k - 1][pivots[-1]]))
 
     def volume(self) -> Fraction:
         return self.normalized_volume() / factorial(self.dim)
@@ -136,10 +138,12 @@ def _barycentric_rows(vertices) -> list[list] | None:
     |det| * (p's barycentric coordinate at that vertex), so p lies in the
     simplex iff every row is >= 0 at p; None for a zero determinant.
 
-    One `echelon` of the edge matrix beside the identity gives the
-    determinant and, by back-substitution, the inverse.  |det| times the
-    inverse is the adjugate up to sign: integers for integer vertices,
-    exact Fractions for rational ones.
+    One `echelon` of the edge matrix E beside the identity gives
+    [U | T] with U = T E, and its last pivot is det E up to sign.  Solving
+    U y = |det| (column k of T) gives y = |det| E^-1 e_k, column k of the
+    adjugate up to sign: integers for integer vertices, so every division
+    of the back-substitution is exact, and exact Fractions for rational
+    ones.
     """
     base = vertices[0]
     n = len(base)
@@ -150,25 +154,20 @@ def _barycentric_rows(vertices) -> list[list] | None:
     # independent iff all of them lie in the first n columns
     if pivots[-1] != n - 1:
         return None
-    scale = abs(prod(rows[i][i] for i in range(n)))  # |det|; the row swaps only flip its sign
-    inverse_cols = [
-        back_substitute([row[:n] + [row[n + k]] for row in rows], pivots, [0] * n)
+    scale = abs(rows[-1][n - 1])  # |det|; the row swaps only flip its sign
+    adjugate_cols = [
+        back_substitute([row[:n] + [scale * row[n + k]] for row in rows], pivots, [0] * n)
         for k in range(n)
     ]
     # |det| lambda_j(p) = w_j . (p - base), w_j = |det| (inverse row j), for
     # j >= 1, and lambda_0 = 1 - (the other lambdas)
     functionals = []
     for j in range(n):
-        w = [_exact(col[j] * scale) for col in inverse_cols]
+        w = [col[j] for col in adjugate_cols]
         functionals.append(w + [-sum(a * b for a, b in zip(w, base))])
     functionals.insert(0, [-sum(col) for col in zip(*functionals)])
-    functionals[0][n] += _exact(scale)
+    functionals[0][n] += scale
     return functionals
-
-
-def _exact(x: Fraction):
-    """x as an int when it is integral, else unchanged."""
-    return x.numerator if x.denominator == 1 else x
 
 
 def _covers(rows, total, count) -> bool:
@@ -279,7 +278,8 @@ def _frame(points):
     Its pivot count is the affine dimension, and its pivot columns give a
     chart: the echelon rows restricted to them are triangular with nonzero
     diagonal, so dropping the other coordinates is injective on the affine
-    hull.
+    hull.  Its last pivot is the minor of the edges on all pivot columns
+    (not the pivot product), in int for integer points.
     """
     base = points[0]
     return echelon([[a - b for a, b in zip(p, base)] for p in points[1:]])
@@ -302,11 +302,13 @@ def supporting_hyperplanes(points):
     every point on one side.
 
     This is the one k-subset enumeration of the package: every affinely
-    independent d-subset spans a candidate, whose normal comes from the
-    subset's `_frame`.  The loop costs C(N, d) eliminations; each distinct
-    hyperplane is then evaluated once, however many subsets span it, and
-    its evaluation stops at the first point that shows points strictly on
-    both sides.
+    independent d-subset spans a candidate, whose normal is the cofactor
+    vector of the subset's `_frame`: its free coordinate is |last pivot|
+    (the minor on the other d - 1 columns), the others come from an exact
+    integer back-substitution, and the gcd is divided out.  The loop costs
+    C(N, d) eliminations; each distinct hyperplane is then evaluated once,
+    however many subsets span it, and its evaluation stops at the first
+    point that shows points strictly on both sides.
 
     Yields (w, c, on) once per supporting hyperplane: w is the primitive
     integer normal oriented so that w . p >= c for every point p, and on
@@ -315,17 +317,25 @@ def supporting_hyperplanes(points):
     orientations.  Integer points are evaluated in integer arithmetic.
     """
     d = len(points[0])
+    # a positive scaling of every point leaves every normal unchanged, so
+    # rational points are eliminated on the integer grid
+    scale = lcm(*(x.denominator for p in points for x in p))
+    grid = [tuple(int(x * scale) for x in p) for p in points]
     seen = set()
     for subset in combinations(range(len(points)), d):
-        base = points[subset[0]]
-        rows, pivots, _ = _frame([points[j] for j in subset])
+        rows, pivots, _ = _frame([grid[j] for j in subset])
         if len(pivots) < d - 1:
             continue
-        # d - 1 independent rows in d columns leave exactly one free column
-        w = primitive_integer_vector(
-            back_substitute(rows, pivots, [Fraction(c not in pivots) for c in range(d)])
-        )
-        c = sum(wi * bi for wi, bi in zip(w, base))
+        # d - 1 independent rows in d columns leave exactly one free
+        # column; set to |last pivot|, it is positive and the rest of the
+        # kernel vector is integral
+        free = next(c for c in range(d) if c not in pivots)
+        x = [0] * d
+        x[free] = abs(rows[-1][pivots[-1]]) if pivots else 1
+        x = back_substitute(rows, pivots, x)
+        g = gcd(*x)
+        w = tuple(v // g for v in x)
+        c = sum(wi * bi for wi, bi in zip(w, points[subset[0]]))
         if (w, c) in seen:
             continue
         seen.add((w, c))

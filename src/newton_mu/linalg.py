@@ -1,36 +1,61 @@
-"""Exact linear algebra over Fraction.
+"""Exact linear algebra: fraction-free elimination over the integers, and
+the same recurrence over Fraction for rational input.
 
 Matrices are lists of row lists.  Every routine here is one forward
-Gaussian elimination (`echelon`) followed, where a solution is wanted, by
-one back-substitution (`back_substitute`).  Pivots are exact; rows are
-neither normalized nor reduced upward, because most callers only need the
-rank or the pivot product.  Sizes stay tiny (ambient dimension <= 6, the
-oracles' dense systems at most 4 x 4), so no fraction-free tricks are
-needed.
+elimination (`echelon`) followed, where a solution is wanted, by one
+back-substitution (`back_substitute`).  Rows are neither normalized nor
+reduced upward, because most callers only need the rank, a minor or a
+kernel vector.
 
-`determinant`, `rank` and `nullspace_vector` no longer have a caller in the
-package: `geometry` reads dimension, charts and volumes off one `echelon`.
-They are kept as the independent references that the tests freeze and
-compare against.
+`echelon` is Bareiss's fraction-free elimination (Math. Comp. 22, 1968).
+Each step replaces every row below the pivot row by
+(pivot * row - row[col] * pivot row) / (previous pivot), the previous
+pivot being 1 at the first step.  By Sylvester's determinant identity
+every entry of the result is a minor of the row-permuted input: after k
+steps, the entry in row r and column j is the (k+1) x (k+1) minor on the
+first k rows and row r and on the first k pivot columns and column j.  A
+minor of an integer matrix is an integer, so each division is exact and
+integer rows stay integers, with no Fraction and no gcd.  The invariant
+holds only if every row below the pivot is updated, also a row whose
+entry in the pivot column is already 0.  In particular the pivot of the
+k-th row is the k x k minor on the first k rows and pivot columns, so a
+determinant is the sign of the row swaps times the last pivot, not the
+product of the pivots.  Rational input runs the same recurrence in
+Fraction, where the pivots are the same minors.
+
+`determinant`, `rank`, `nullspace_vector` and `primitive_integer_vector`
+no longer have a caller in the package: `geometry` reads dimension,
+charts, volumes and normals off one `echelon`.  They are kept as the
+independent references that the tests freeze and compare against.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import floordiv, truediv
 
 
-def echelon(matrix) -> tuple[list[list[Fraction]], list[int], int]:
-    """Row echelon form by forward elimination, pivoting on the first row
+def echelon(matrix) -> tuple[list[list], list[int], int]:
+    """Row echelon form by Bareiss elimination, pivoting on the first row
     with a nonzero entry in each column.
 
     Returns (rows, pivot columns, sign of the row permutation).  Row i has
     its leading entry in column pivots[i]; rows past len(pivots) are zero.
+    The leading entry of row k is the minor on rows 0..k and columns
+    pivots[:k + 1] of the row-permuted input.  Integer input gives int
+    rows; input with any other entry is eliminated in Fraction.
     """
-    rows = [[Fraction(entry) for entry in row] for row in matrix]
+    rows = [list(row) for row in matrix]
+    if all(isinstance(entry, int) for row in rows for entry in row):
+        divide = floordiv  # exact: every quotient is a minor
+    else:
+        rows = [[Fraction(entry) for entry in row] for row in rows]
+        divide = truediv
     width = len(rows[0]) if rows else 0
     pivots: list[int] = []
     sign = 1
+    previous = 1
     for col in range(width):
         rk = len(pivots)
         if rk == len(rows):
@@ -41,11 +66,15 @@ def echelon(matrix) -> tuple[list[list[Fraction]], list[int], int]:
         if pivot_row != rk:
             rows[rk], rows[pivot_row] = rows[pivot_row], rows[rk]
             sign = -sign
-        pivot = rows[rk][col]
+        top = rows[rk]
+        pivot = top[col]
+        # every row below, also one with a 0 in this column, or the next
+        # division would no longer be exact
         for r in range(rk + 1, len(rows)):
-            if rows[r][col] != 0:
-                factor = rows[r][col] / pivot
-                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[rk])]
+            row = rows[r]
+            factor = row[col]
+            rows[r] = [divide(pivot * a - factor * b, previous) for a, b in zip(row, top)]
+        previous = pivot
         pivots.append(col)
     return rows, pivots, sign
 
@@ -54,26 +83,39 @@ def back_substitute(rows, pivots, x: list) -> list:
     """Fill the pivot entries of x, bottom row first, so that every echelon
     row holds as row[:len(x)] . x = row[len(x)] (0 when the row has no
     augmented entry).  The other entries of x are the free variables and
-    are read as given."""
+    are read as given.
+
+    Each division is exact and never gives a float: an int numerator that
+    an int pivot divides gives an int, any other gives a Fraction.  With
+    integer rows, setting the one free variable of a kernel to the last
+    pivot, or scaling the right side of a square system by it, makes the
+    solution integral (Cramer's rule), so every quotient is an int.
+    """
     width = len(x)
     for row, col in reversed(list(zip(rows, pivots))):
         rhs = row[width] if len(row) > width else 0
-        x[col] = (rhs - sum(row[j] * x[j] for j in range(col + 1, width))) / row[col]
+        numerator = rhs - sum(row[j] * x[j] for j in range(col + 1, width))
+        pivot = row[col]
+        if isinstance(numerator, int) and isinstance(pivot, int):
+            quotient, remainder = divmod(numerator, pivot)
+            x[col] = Fraction(numerator, pivot) if remainder else quotient
+        else:
+            x[col] = numerator / pivot
     return x
 
 
 def determinant(matrix) -> Fraction:
-    """Exact determinant of a square matrix of rationals."""
+    """Exact determinant of a square matrix of rationals: the sign of the
+    row swaps times the last Bareiss pivot."""
     size = len(matrix)
     if any(len(row) != size for row in matrix):
         raise ValueError("determinant requires a square matrix")
+    if not size:
+        return Fraction(1)
     rows, pivots, sign = echelon(matrix)
     if len(pivots) < size:
         return Fraction(0)
-    det = Fraction(sign)
-    for i in range(size):
-        det *= rows[i][i]
-    return det
+    return Fraction(sign * rows[-1][-1])
 
 
 def rank(matrix) -> int:
@@ -95,7 +137,7 @@ def solve(matrix, rhs) -> list[Fraction] | None:
     rows, pivots, _ = echelon([list(row) + [b] for row, b in zip(matrix, rhs)])
     if pivots and pivots[-1] == cols:
         return None
-    return back_substitute(rows, pivots, [Fraction(0)] * cols)
+    return [Fraction(v) for v in back_substitute(rows, pivots, [0] * cols)]
 
 
 def nullspace_vector(matrix) -> list[Fraction] | None:
@@ -110,9 +152,9 @@ def nullspace_vector(matrix) -> list[Fraction] | None:
     free = next((c for c in range(cols) if c not in pivots), None)
     if free is None:
         return None
-    x = [Fraction(0)] * cols
-    x[free] = Fraction(1)
-    return back_substitute(rows, pivots, x)
+    x = [0] * cols
+    x[free] = 1
+    return [Fraction(v) for v in back_substitute(rows, pivots, x)]
 
 
 def primitive_integer_vector(vec) -> tuple[int, ...]:

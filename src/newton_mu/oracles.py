@@ -9,8 +9,11 @@ and solves its interpolation with `linalg`, so a fault in that helper or
 in the elimination can reach both sides of a comparison.  The
 shuffled-order oracle reuses the diagram and pulling code with a different
 vertex order, so it checks only that the Newton number does not depend on
-the pulling order, not that the diagram is right.  All are deliberately
-slow and kept to small inputs.
+the pulling order, not that the diagram is right.  The colength oracle
+eliminates with its own sparse routine (`_sparse_rank`), not with
+`linalg.echelon`, so the check nu = mu keeps a route that shares no
+elimination code with the volumes.  All are deliberately slow and kept to
+small inputs.
 """
 
 from __future__ import annotations
@@ -163,7 +166,11 @@ def _sparse_rank(rows: list[dict[int, Fraction]]) -> int:
 
     Each row is a column->value dict; keeping one pivot row per leading
     column makes the reduction cost scale with the number of nonzero
-    entries instead of the full matrix size.
+    entries instead of the full matrix size.  This is the colength
+    oracle's own elimination, deliberately independent of
+    `linalg.echelon`: it stays sparse and in Fraction, so a fault in the
+    dense fraction-free elimination behind every volume and normal cannot
+    reach both sides of the nu = mu check.
     """
     pivots: dict[int, dict[int, Fraction]] = {}
     count = 0

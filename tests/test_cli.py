@@ -185,3 +185,31 @@ def test_main_prints_json(capsys):
     assert code == 0
     printed = json.loads(capsys.readouterr().out)
     assert printed["nu"] == "2"
+
+
+def test_parser_is_built_once_and_keeps_no_state(monkeypatch, tmp_path):
+    from newton_mu import cli
+
+    builds = []
+    build = cli.build_parser
+
+    def counting_build():
+        builds.append(1)
+        return build()
+
+    monkeypatch.setattr(cli, "build_parser", counting_build)
+    cli._parser.cache_clear()
+    try:
+        code, out = run(["nn", "--poly", "x^3 + y^2", "--with-oracles"])
+        assert code == 0 and "oracles" in out
+        code, out = run(["nn", "--poly", "x^3 + y^2"])
+        assert code == 0 and "oracles" not in out
+        batch = tmp_path / "lines.txt"
+        batch.write_text('nn --poly "x^2 + y^3" --with-oracles\nnn --poly "x^2 + y^3"\n')
+        code, out = run(["--batch", str(batch)])
+        assert code == 0
+        assert ["oracles" in r["output"] for r in out["results"]] == [True, False]
+        assert run(["nn"])[0] == 1
+        assert builds == [1]
+    finally:
+        cli._parser.cache_clear()
