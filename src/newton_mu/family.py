@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DecompositionError, DomainError, FormulaMismatchError
-from .geometry import Simplex, in_convex_hull
+from .geometry import Simplex
 from .newton import newton_number
 from .polyhedra import (
     NewtonRegion,
@@ -22,6 +22,7 @@ from .polyhedra import (
     _require_convenient,
     cone_over_visible_facets,
     gamma_minus,
+    newton_diagram,
 )
 
 FAMILY_DIMENSION = 4
@@ -54,7 +55,7 @@ class FamilyStep:
         rest = [p for p in self.f1.points if p != removed]
         if not rest:
             raise DomainError("removing the point empties the support")
-        if in_convex_hull(removed, rest, plus_orthant=True):
+        if removed not in newton_diagram(self.f1).vertices:
             raise DomainError(
                 "removed point is not a diagram vertex; both members share one diagram"
             )

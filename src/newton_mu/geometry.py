@@ -14,6 +14,10 @@ the chart of the affine hull keeps the pivot coordinates, and the volume
 of a simplex in an axis-parallel coordinate subspace is the last pivot, up
 to sign, because that pivot is the minor on all pivot columns.  Integer
 points stay in integer arithmetic.  No Gram determinants.
+
+Hull questions have one answer, the facets of `supporting_hyperplanes`,
+and simplex membership has one, the barycentric rows of the simplex's
+chart (`_barycentric_rows`).
 """
 
 from __future__ import annotations
@@ -27,10 +31,6 @@ from .errors import InvalidRegionError
 from .linalg import back_substitute, echelon
 
 Vec = tuple  # tuple of int | Fraction, all >= 0
-
-
-def vec_sub(a: Vec, b: Vec) -> tuple[Fraction, ...]:
-    return tuple(Fraction(x) - Fraction(y) for x, y in zip(a, b))
 
 
 def coordinate_support(v: Vec) -> frozenset[int]:
@@ -115,22 +115,29 @@ class Simplex:
         return self.normalized_volume() / factorial(self.dim)
 
     def contains_point(self, point: Vec) -> bool:
-        """Exact membership via barycentric coordinates (degenerate: False)."""
-        base = self.vertices[0]
-        cols = [vec_sub(v, base) for v in self.vertices[1:]]
-        if not cols:
-            return tuple(point) == base
-        rhs = vec_sub(point, base)
-        rows, pivots, _ = echelon([[c[i] for c in cols] + [rhs[i]] for i in range(self.n)])
-        if len(pivots) < self.dim or (pivots and pivots[-1] == self.dim):
-            return False  # degenerate, or point off the simplex's affine hull
-        coeffs = back_substitute(rows, pivots, [Fraction(0)] * self.dim)
-        residual_ok = all(
-            sum(c[i] * x for c, x in zip(cols, coeffs)) == rhs[i] for i in range(self.n)
-        )
-        if not residual_ok:
+        """Exact membership via barycentric coordinates (degenerate: False).
+
+        The `_barycentric_rows` of the chart (the frame's pivot coordinates)
+        give |det| times the weights of the point's chart.  The chart is
+        injective only on the affine hull, so below full dimension the
+        weights must also rebuild the point itself.
+        """
+        k = self.dim
+        if k == 0:
+            return tuple(point) == self.vertices[0]
+        pivots = _frame(self.vertices)[1]
+        if len(pivots) < k:
             return False
-        return all(c >= 0 for c in coeffs) and sum(coeffs) <= 1
+        rows = _barycentric_rows([tuple(v[c] for c in pivots) for v in self.vertices])
+        chart = [point[c] for c in pivots]
+        weights = [sum(w * x for w, x in zip(row, chart)) + row[-1] for row in rows]
+        if any(x < 0 for x in weights):
+            return False
+        scale = sum(weights)  # |det|: the rows sum to it at every point
+        return k == self.n or all(
+            sum(x * v[i] for x, v in zip(weights, self.vertices)) == scale * point[i]
+            for i in range(self.n)
+        )
 
 
 def _barycentric_rows(vertices) -> list[list] | None:
@@ -180,91 +187,6 @@ def _covers(rows, total, count) -> bool:
 def simplex_volume(s: Simplex) -> Fraction:
     """k-volume of a k-simplex (0 for degenerate vertex sets)."""
     return s.volume()
-
-
-# ---------------------------------------------------------------------------
-# Linear feasibility (phase-1 simplex with Bland's rule, exact arithmetic)
-# ---------------------------------------------------------------------------
-
-
-def linear_feasible(rows: list[list[Fraction]], rhs: list[Fraction]) -> bool:
-    """Does A x = b admit x >= 0?  Exact phase-1 simplex."""
-    m = len(rows)
-    if m == 0:
-        return True
-    n = len(rows[0])
-    tableau: list[list[Fraction]] = []
-    for row, b in zip(rows, rhs):
-        r = [Fraction(v) for v in row]
-        bb = Fraction(b)
-        if bb < 0:
-            r = [-v for v in r]
-            bb = -bb
-        tableau.append(r + [Fraction(0)] * m + [bb])
-    for i in range(m):
-        tableau[i][n + i] = Fraction(1)
-    basis = [n + i for i in range(m)]
-    # reduced costs for the artificial objective (minimize sum of artificials)
-    zrow = [Fraction(0)] * (n + m + 1)
-    for i in range(m):
-        for j in range(n + m + 1):
-            zrow[j] -= tableau[i][j]
-    for i in range(m):
-        zrow[n + i] = Fraction(0)
-
-    while True:
-        enter = next((j for j in range(n + m) if zrow[j] < 0), None)
-        if enter is None:
-            break
-        best = None
-        for i in range(m):
-            if tableau[i][enter] > 0:
-                ratio = tableau[i][-1] / tableau[i][enter]
-                if best is None or ratio < best[0] or (ratio == best[0] and basis[i] < basis[best[1]]):
-                    best = (ratio, i)
-        if best is None:  # phase-1 objective is bounded below; unreachable
-            raise ArithmeticError("phase-1 simplex lost boundedness")
-        _, leave = best
-        pivot = tableau[leave][enter]
-        tableau[leave] = [v / pivot for v in tableau[leave]]
-        for i in range(m):
-            if i != leave and tableau[i][enter] != 0:
-                f = tableau[i][enter]
-                tableau[i] = [a - f * b for a, b in zip(tableau[i], tableau[leave])]
-        if zrow[enter] != 0:
-            f = zrow[enter]
-            zrow = [a - f * b for a, b in zip(zrow, tableau[leave])]
-        basis[leave] = enter
-    return -zrow[-1] == 0
-
-
-def in_convex_hull(point: Vec, points: list[Vec], plus_orthant: bool = False) -> bool:
-    """Membership of point in conv(points) (optionally + nonnegative orthant)."""
-    if not points:
-        return False
-    n = len(point)
-    k = len(points)
-    slots = k + (n if plus_orthant else 0)
-    rows = []
-    for i in range(n):
-        row = [Fraction(points[j][i]) for j in range(k)]
-        if plus_orthant:
-            row += [Fraction(1) if t == i else Fraction(0) for t in range(n)]
-        rows.append(row)
-    rows.append([Fraction(1)] * k + [Fraction(0)] * (slots - k))
-    rhs = [Fraction(x) for x in point] + [Fraction(1)]
-    return linear_feasible(rows, rhs)
-
-
-def extreme_points(points) -> list[Vec]:
-    """Vertices of conv(points), in lexicographic order."""
-    pts = sorted(set(tuple(p) for p in points))
-    out = []
-    for i, p in enumerate(pts):
-        others = pts[:i] + pts[i + 1 :]
-        if not others or not in_convex_hull(p, others):
-            out.append(p)
-    return out
 
 
 # ---------------------------------------------------------------------------

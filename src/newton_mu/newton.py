@@ -21,7 +21,7 @@ from .errors import (
     InvalidRegionError,
     NotQuasiConvenientError,
 )
-from .geometry import Simplex, Vec, in_convex_hull
+from .geometry import Simplex, Vec
 from .polyhedra import (
     NewtonRegion,
     SupportSet,
@@ -30,6 +30,7 @@ from .polyhedra import (
     cone_over_visible_facets,
     drop_coordinates,
     is_quasi_convenient,
+    newton_diagram,
     project,
     validate_region,
 )
@@ -217,8 +218,11 @@ def decompose_difference(x: NewtonRegion, y: NewtonRegion) -> list[Decomposition
             raise NotQuasiConvenientError(f"{label} region: {reason}")
 
     if x.source is not None and y.source is not None:
+        # a source comes from gamma_minus, so it is convenient and its
+        # Newton polyhedron is {p >= 0 : w . p >= c on every compact facet}
+        facets = newton_diagram(y.source).facets
         for p in x.source.points:
-            if not in_convex_hull(p, list(y.source.points), plus_orthant=True):
+            if any(sum(w * c for w, c in zip(f.inner_normal, p)) < f.offset for f in facets):
                 raise ContainmentError(
                     f"outer support point {p} lies above the inner diagram;"
                     " the inner region is not contained in the outer one"

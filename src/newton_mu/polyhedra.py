@@ -5,12 +5,14 @@ is the hull of the translated orthants; the diagram is the union of compact
 faces, enumerated here as the facets with strictly positive inner normal.
 `newton_diagram` finds them exactly from the non-dominated support points
 only (a point lying coordinatewise at or above another support point
-touches no compact face) and reads the diagram vertices off the facets,
-with an LP only for non-convenient supports; its docstring proves both
-steps.  gamma_minus cones the diagram to the origin and triangulates it
-(pulling rule at the lexicographically least vertex), giving a
-NewtonRegion: a union of simplices with cached exact subset volumes, the
-single data structure every Newton-number computation consumes.
+touches no compact face).  The other facets of the polyhedron are the
+compact facets of the support's coordinate projections, and a point is a
+vertex when the normals of the facets through it have full rank; its
+docstring proves both steps.  gamma_minus cones the diagram to the
+origin and triangulates it (pulling rule at the lexicographically least
+vertex), giving a NewtonRegion: a union of simplices with cached exact
+subset volumes, the single data structure every Newton-number
+computation consumes.
 """
 
 from __future__ import annotations
@@ -32,11 +34,10 @@ from .geometry import (
     _barycentric_rows,
     _covers,
     coordinate_support,
-    extreme_points,
-    in_convex_hull,
     pull_triangulate,
     supporting_hyperplanes,
 )
+from .linalg import echelon
 
 DEFAULT_MAX_N = 6
 MAX_SUPPORT_POINTS = 64
@@ -161,37 +162,11 @@ class NewtonDiagram:
     vertices: tuple[Vec, ...]
 
 
-def newton_diagram(s: SupportSet) -> NewtonDiagram:
-    """Compact facets (strictly positive inner normal) plus diagram vertices.
-
-    Candidates are the non-dominated support points: p is dropped when
-    another support point q has q <= p coordinatewise.  Dropping p leaves
-    the polyhedron unchanged (p lies in q + orthant), and for every normal
-    w > 0, w . p > w . q, so p is strictly above every hyperplane that can
-    carry a compact facet: it is neither on a compact facet nor a vertex.
-    Candidate hyperplanes run over affinely independent n-subsets of the
-    candidates (`supporting_hyperplanes`); those with a positive normal are
-    the compact facets.  A facet holding exactly n candidates is the simplex
-    they span, so its vertices are those n points; only a facet with more
-    candidates on it filters them with `extreme_points`.  A
-    lower-dimensional diagram (no compact facet of dimension n-1) is legal
-    and yields an empty facet list.
-
-    The diagram vertices are the facet vertices, plus the candidates on no
-    compact facet that are vertices of the polyhedron.  For a convenient
-    support there is no such candidate other than a lone origin: a vertex
-    other than the origin lies on at least n facets; every facet normal w
-    is >= 0, and one with some w_j = 0 has offset 0 (the support has a
-    point a_j e_j, and w . a_j e_j = 0), so its face is the polyhedron's
-    intersection with {x_i = 0 : w_i > 0}, which is a facet only for
-    w = e_i.  A point on n distinct coordinate hyperplanes is the origin,
-    so every other vertex lies on a compact facet.  The remaining
-    candidates of a non-convenient support, and a lone candidate, are
-    tested with the exact LP of `in_convex_hull` against the other
-    candidates.
-    """
-    check_dimension(s.n)
-    pts = s.points
+def _compact_hyperplanes(points) -> tuple[list, list]:
+    """(candidates, sorted (w, c, on) with w > 0) of a point set: its
+    non-dominated points and the hyperplanes of its compact facets, with on
+    indexing the candidates."""
+    pts = sorted(set(points))
     cands = [
         p for p in pts
         if not any(q != p and all(a <= b for a, b in zip(q, p)) for q in pts)
@@ -199,24 +174,70 @@ def newton_diagram(s: SupportSet) -> NewtonDiagram:
     found = sorted(
         (w, c, on) for w, c, on in supporting_hyperplanes(cands) if min(w) > 0
     )
+    return cands, found
+
+
+def newton_diagram(s: SupportSet) -> NewtonDiagram:
+    """Compact facets (strictly positive inner normal) plus diagram vertices.
+
+    Candidates are the non-dominated support points: p is dropped when
+    another support point q has q <= p coordinatewise.  Dropping p leaves
+    the polyhedron unchanged (p lies in q + orthant) and p is no vertex,
+    and for every normal w > 0, w . p > w . q, so p is strictly above every
+    hyperplane that can carry a compact facet.  Candidate hyperplanes run
+    over affinely independent n-subsets of the candidates
+    (`supporting_hyperplanes`); those with a positive normal are the
+    compact facets.  A lower-dimensional diagram (no compact facet of
+    dimension n-1) is legal and yields an empty facet list.
+
+    Every facet comes from a projection.  The polyhedron P = conv(S) +
+    orthant is full-dimensional and every facet normal w is >= 0.  Take J
+    = supp w and the projection x -> x_J.  The face of P where w is least
+    is conv(A) + cone(e_i : i not in J), A the support points where w is
+    least, so its dimension is dim aff(A_J) + n - |J|, and A_J is where
+    w_J is least on S_J.  It is a facet exactly when w_J > 0 is the normal
+    of a compact facet of the polyhedron of S_J in R^J.  So the facets of
+    P are the compact facets of the 2^n - 1 projections S_J, lifted by
+    zeros (J = all coordinates gives the diagram's own), each found as
+    above from the non-dominated points of S_J.  A projection containing
+    the origin has the orthant R^J as its polyhedron, with no compact facet
+    but x_j >= 0 for |J| = 1; it is skipped after a scan.  For a convenient
+    support every proper projection contains the origin, so the facets of
+    P are the compact ones and the x_j >= 0, and P is {x >= 0 : w . x >= c
+    for every compact facet}.
+
+    A point of a full-dimensional pointed polyhedron is a vertex exactly
+    when the normals of the facets through it have rank n (Schrijver,
+    Theory of Linear and Integer Programming, 1986, section 8.5), so one
+    `echelon` of those normals decides each candidate.  A facet's vertices
+    are the vertices of P on it, and the diagram vertices are all vertices
+    of P.
+    """
+    check_dimension(s.n)
+    n = s.n
+    cands, found = _compact_hyperplanes(s.points)
+    through = [[] for _ in cands]  # normals of the facets of P through each
+    for J in all_subsets(n)[1:]:
+        cols = sorted(J)
+        proj = [tuple(p[j] for j in cols) for p in cands]
+        if len(cols) > 1 and (0,) * len(cols) in proj:
+            continue
+        sub, hyperplanes = (cands, found) if len(cols) == n else _compact_hyperplanes(proj)
+        for w, _, on in hyperplanes:
+            lifted = [0] * n
+            for j, wj in zip(cols, w):
+                lifted[j] = wj
+            on_pts = {sub[i] for i in on}
+            for i, q in enumerate(proj):
+                if q in on_pts:
+                    through[i].append(lifted)
+    vertex = [len(ws) >= n and len(echelon(ws)[1]) == n for ws in through]
     facets = tuple(
-        Facet(
-            tuple(cands[i] for i in on) if len(on) == s.n
-            else tuple(extreme_points([cands[i] for i in on])),
-            w,
-            Fraction(c),
-        )
+        Facet(tuple(cands[i] for i in on if vertex[i]), w, Fraction(c))
         for w, c, on in found
     )
-    vertices = {v for f in facets for v in f.vertices}
-    on_facet = {cands[i] for _, _, on in found for i in on}
-    if len(cands) == 1 or not is_convenient(s)[0]:
-        vertices.update(
-            p for p in cands
-            if p not in on_facet
-            and not in_convex_hull(p, [q for q in cands if q != p], plus_orthant=True)
-        )
-    return NewtonDiagram(s.n, s, facets, tuple(sorted(vertices)))
+    vertices = tuple(p for p, v in zip(cands, vertex) if v)
+    return NewtonDiagram(n, s, facets, vertices)
 
 
 @dataclass(frozen=True)

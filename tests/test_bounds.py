@@ -13,9 +13,14 @@ from newton_mu.bounds import (
     product_bound,
     stabilized_region,
 )
-from newton_mu.errors import DomainError
+from newton_mu.errors import ContainmentError, DomainError
 from newton_mu.newton import newton_number
-from newton_mu.polyhedra import axis_simplex_region, gamma_minus, support
+from newton_mu.polyhedra import (
+    axis_simplex_region,
+    gamma_minus,
+    region_from_simplices,
+    support,
+)
 
 
 def test_product_bound():
@@ -52,6 +57,21 @@ def test_axis_simplex_containment_check():
     check_axis_simplex_inside(gamma_minus(s), (3, 2))
     with pytest.raises(DomainError):
         check_axis_simplex_inside(gamma_minus(s), (4, 2))
+
+
+def test_axis_simplex_outside_an_explicit_region_is_pinned():
+    # no CLI verb takes an explicit region, so this path is pinned in the
+    # library only
+    region = region_from_simplices([((0, 0), (3, 0), (0, 2))])
+    check_axis_simplex_inside(region, (Fraction(3), Fraction(2)))
+    for avec, shown in [
+        ((Fraction(4), Fraction(2)), "('4', '0')"),
+        ((Fraction(3), Fraction(5, 2)), "('0', '5/2')"),
+    ]:
+        with pytest.raises(ContainmentError) as exc:
+            check_axis_simplex_inside(region, avec)
+        assert type(exc.value) is ContainmentError
+        assert str(exc.value) == f"axis-simplex vertex {shown} lies outside the region"
 
 
 def test_chain_verdict_ignores_cited_links():

@@ -9,7 +9,8 @@ own prediction.
 import pytest
 
 from conftest import FAMILY_FIXTURES, family_with_case_i
-from newton_mu.errors import DecompositionError, DomainError
+from newton_mu.cli import run
+from newton_mu.errors import DecompositionError, DomainError, NotConvenientError
 from newton_mu.family import FamilyStep, family_difference, negligible_truncation_check
 from newton_mu.newton import newton_number
 from newton_mu.polyhedra import gamma_minus, region_from_simplices, support
@@ -72,6 +73,31 @@ def test_vertex_must_belong_to_support():
         FamilyStep(s, (9, 9, 9, 9))
 
 
+def test_absorbed_point_error_is_pinned():
+    s = support([(4, 0, 0, 0), (0, 4, 0, 0), (0, 0, 4, 0), (0, 0, 0, 4), (2, 2, 2, 2)])
+    message = "removed point is not a diagram vertex; both members share one diagram"
+    with pytest.raises(DomainError) as exc:
+        FamilyStep(s, (2, 2, 2, 2))
+    assert type(exc.value) is DomainError
+    assert str(exc.value) == message
+    code, out = run(
+        ["family-check", "--poly", "x^4 + y^4 + z^4 + w^4 + x^2*y^2*z^2*w^2", "--vertex", "2,2,2,2"]
+    )
+    assert code == 2
+    assert out == {"schema": "newton-mu/1", "error": {"type": "domain", "message": message}}
+
+
+def test_vertex_of_a_non_convenient_support_is_found():
+    # f1 misses the w axis, so the vertex test needs the facets of the
+    # polyhedron that are not compact; (1, 1, 1, 1) is a vertex there
+    s = support([(4, 0, 0, 0), (0, 4, 0, 0), (0, 0, 4, 0), (1, 1, 1, 1), (1, 1, 1, 2)])
+    with pytest.raises(NotConvenientError):
+        FamilyStep(s, (1, 1, 1, 1))
+    with pytest.raises(DomainError) as exc:
+        FamilyStep(s, (1, 1, 1, 2))
+    assert str(exc.value).startswith("removed point is not a diagram vertex")
+
+
 def test_losing_an_axis_is_rejected():
     s = support([(4, 0, 0, 0), (0, 4, 0, 0), (0, 0, 4, 0), (0, 0, 0, 4)])
     with pytest.raises(DomainError):
@@ -103,16 +129,22 @@ def test_wrong_dimension_rejected():
 
 
 def test_truncated_support_is_checked_without_building_a_diagram(monkeypatch):
+    import newton_mu.family as family
     import newton_mu.polyhedra as polyhedra
     from newton_mu.errors import NotConvenientError
 
     builds = []
     real = polyhedra.newton_diagram
-    monkeypatch.setattr(
-        polyhedra, "newton_diagram", lambda s: builds.append(s) or real(s)
-    )
+    # wrap every binding a call can reach, as the benchmark tracer does
+    for module in (polyhedra, family):
+        monkeypatch.setattr(
+            module, "newton_diagram", lambda s: builds.append(s) or real(s)
+        )
     builder, apex, ms, _, _, _ = FAMILY_FIXTURES[0]
-    step = FamilyStep(builder(min(ms)), apex)
+    f1 = builder(min(ms))
+    step = FamilyStep(f1, apex)
+    assert builds == [f1]  # the vertex test; the truncated support needs none
+    builds.clear()
     step.f0
     assert builds == []
     s = support([(4, 0, 0, 0), (0, 4, 0, 0), (0, 0, 4, 0), (0, 0, 0, 4), (1, 1, 1, 1)])
@@ -120,4 +152,4 @@ def test_truncated_support_is_checked_without_building_a_diagram(monkeypatch):
         FamilyStep(s, (0, 0, 0, 4))
     assert str(exc.value) == "support misses pure powers on axes 4"
     assert exc.value.missing_axes == (3,)
-    assert builds == []
+    assert builds == [s]

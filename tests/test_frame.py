@@ -5,8 +5,9 @@ hull, degeneracy and normalized volume from one elimination of the edge
 vectors (`_frame`).  The references below are the earlier routes, kept
 verbatim: one `rank` per point and one `solve` per point for the chart, a
 `rank` of the edge matrix for the dimension and degeneracy, and a
-`determinant` of the edges over the live coordinates for the volume.  Every
-public result, and every error message, must be the same.
+`determinant` of the edges over the live coordinates for the volume, and
+for `Simplex.contains_point` a `Fraction` elimination of the edges beside
+the point.  Every public result, and every error message, must be the same.
 """
 
 import random
@@ -23,12 +24,15 @@ from newton_mu.geometry import (
     polytope_facets,
     pull_triangulate,
     supporting_hyperplanes,
-    vec_sub,
 )
-from newton_mu.linalg import determinant, rank, solve
+from newton_mu.linalg import back_substitute, determinant, echelon, rank, solve
 
 # ---------------------------------------------------------------------------
 # references
+
+
+def vec_sub(a, b) -> tuple[Fraction, ...]:
+    return tuple(Fraction(x) - Fraction(y) for x, y in zip(a, b))
 
 
 def ref_affine_dim(points) -> int:
@@ -108,6 +112,25 @@ def ref_pull_triangulate(points, order_key=None) -> list[tuple]:
         for cell in ref_pull_triangulate(face_pts, order_key):
             pieces.append(cell + (apex,))
     return pieces
+
+
+def ref_contains_point(self: Simplex, point) -> bool:
+    """Exact membership via barycentric coordinates (degenerate: False)."""
+    base = self.vertices[0]
+    cols = [vec_sub(v, base) for v in self.vertices[1:]]
+    if not cols:
+        return tuple(point) == base
+    rhs = vec_sub(point, base)
+    rows, pivots, _ = echelon([[c[i] for c in cols] + [rhs[i]] for i in range(self.n)])
+    if len(pivots) < self.dim or (pivots and pivots[-1] == self.dim):
+        return False  # degenerate, or point off the simplex's affine hull
+    coeffs = back_substitute(rows, pivots, [Fraction(0)] * self.dim)
+    residual_ok = all(
+        sum(c[i] * x for c, x in zip(cols, coeffs)) == rhs[i] for i in range(self.n)
+    )
+    if not residual_ok:
+        return False
+    return all(c >= 0 for c in coeffs) and sum(coeffs) <= 1
 
 
 # ---------------------------------------------------------------------------
@@ -269,3 +292,79 @@ def test_frame_matches_references(points):
     assert_point_set_agrees(points)
     if len(points) <= len(points[0]) + 1:
         assert_simplex_agrees(points)
+
+
+def probe_points(rng, vertices):
+    """(kind, point) pairs around a simplex: its vertices, points inside
+    and on its boundary, points on its affine hull outside it, and points
+    off the hull."""
+    k = len(vertices) - 1
+    n = len(vertices[0])
+    out = [("vertex", v) for v in vertices]
+
+    def combination(weights):
+        return tuple(sum(w * v[i] for w, v in zip(weights, vertices)) for i in range(n))
+
+    out.append(("inside", combination([Fraction(1, k + 1)] * (k + 1))))
+    if k >= 1:
+        out.append(("boundary", combination([Fraction(1, 2)] * 2 + [0] * (k - 1))))
+    for _ in range(4):
+        raw = [Fraction(rng.randint(1, 6)) for _ in range(k + 1)]
+        out.append(("inside", combination([w / sum(raw) for w in raw])))
+        if k >= 1:
+            raw[rng.randrange(k + 1)] = Fraction(-rng.randint(1, 4))
+            total = sum(raw)
+            if total != 0:
+                out.append(("hull", combination([w / total for w in raw])))
+    for _ in range(3):
+        base = rng.choice(vertices)
+        i = rng.randrange(n)
+        out.append(("off", tuple(x + (i == j) for j, x in enumerate(base))))
+        out.append(("off", tuple(rng.randint(0, 4) for _ in range(n))))
+    return out
+
+
+def test_contains_point_matches_reference():
+    """Full-dimensional, lower-dimensional, degenerate and rational
+    simplices, probed inside, on the boundary, on the affine hull outside
+    the simplex and off the hull."""
+    rng = random.Random(3301)
+    seen = {}
+    for trial in range(360):
+        n = rng.randint(1, 4)
+        shape = trial % 4
+        if shape == 0:  # full-dimensional (rarely degenerate)
+            vertices = distinct_points(rng, n, n + 1, rational=False, zero_rate=0.2)
+        elif shape == 1:  # lower-dimensional, often inside a coordinate flat
+            vertices = distinct_points(rng, n, rng.randint(1, n), zero_rate=0.5)
+        elif shape == 2:  # affinely dependent
+            m = rng.randint(1, max(1, n - 1))
+            vertices = embedded_points(rng, n, m, m + 3)[: rng.randint(m + 2, m + 3)]
+        else:  # rational coordinates, any dimension
+            vertices = distinct_points(rng, n, rng.randint(1, n + 1), rational=True)
+        if len(vertices) < 1:
+            continue
+        s = Simplex(tuple(vertices))
+        kind = "degenerate" if s.is_degenerate else ("full" if s.dim == n else "lower")
+        if any(isinstance(c, Fraction) and c.denominator > 1 for v in vertices for c in v):
+            kind += "-rational"
+        for probe, point in probe_points(rng, list(s.vertices)):
+            got = s.contains_point(point)
+            assert got == ref_contains_point(s, point), (s.vertices, point)
+            seen[kind, probe, got] = seen.get((kind, probe, got), 0) + 1
+    for kind in ("full", "lower", "full-rational", "lower-rational"):
+        assert seen[kind, "inside", True] >= 20
+        assert seen[kind, "boundary", True] >= 5
+        assert seen[kind, "hull", False] >= 20
+        assert seen[kind, "off", False] >= 20
+    assert seen["degenerate", "inside", False] >= 20
+    assert seen["degenerate", "vertex", False] >= 20
+
+
+def test_contains_point_single_vertex_and_rational_points():
+    s = Simplex(((Fraction(1, 2), 0),))
+    assert s.contains_point((Fraction(1, 2), 0)) and not s.contains_point((0, 0))
+    t = Simplex(((0, 0, 0), (4, 0, 0), (0, 2, 0)))  # a triangle in the z = 0 plane
+    assert t.contains_point((Fraction(3, 2), Fraction(1, 2), 0))
+    assert not t.contains_point((Fraction(3, 2), Fraction(1, 2), Fraction(1, 9)))
+    assert not t.contains_point((3, 1, 0))

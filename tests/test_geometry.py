@@ -9,18 +9,14 @@ from newton_mu.geometry import (
     Simplex,
     affine_dim,
     coordinate_support,
-    extreme_points,
-    in_convex_hull,
     is_origin,
     polytope_facets,
     pull_triangulate,
     simplex_volume,
-    vec_sub,
 )
 
 
 def test_vector_helpers():
-    assert vec_sub((3, 1), (1, 1)) == (2, 0)
     assert coordinate_support((0, 2, 0, 1)) == frozenset({1, 3})
     assert is_origin((0, 0))
     assert not is_origin((0, 1))
@@ -68,20 +64,6 @@ def test_contains_point():
     assert s.contains_point((0, 0))
     assert s.contains_point((2, 2))  # boundary
     assert not s.contains_point((3, 3))
-
-
-def test_in_convex_hull_plain_and_orthant():
-    pts = [(2, 0), (0, 2)]
-    assert in_convex_hull((1, 1), pts)
-    assert not in_convex_hull((0, 0), pts)
-    # adding the positive orthant recession cone absorbs larger points
-    assert in_convex_hull((5, 7), pts, plus_orthant=True)
-    assert not in_convex_hull((0, 1), pts, plus_orthant=True)
-
-
-def test_extreme_points_drops_interior():
-    pts = [(0, 0), (2, 0), (0, 2), (1, 0), (1, 1)]
-    assert sorted(extreme_points(pts)) == [(0, 0), (0, 2), (2, 0)]
 
 
 def test_affine_dim():

@@ -5,9 +5,11 @@ n-subset of *all* support points spans a candidate hyperplane, the ones
 with a strictly positive normal that leave every point on one side are
 the compact facets, and the diagram vertices are the support points that
 the exact LP does not place in the hull of the others plus the orthant.
-The kernel drops dominated points, stops evaluating a candidate early,
-skips the LP for simplicial facets and reads most vertices off the
-facets; its output must be identical.
+The kernel drops dominated points, stops evaluating a candidate early and
+decides vertices by the rank of the facet normals through them, with no
+LP; its output must be identical.  The LP (`ref_linear_feasible`,
+`ref_in_convex_hull`, `ref_extreme_points`) is the package's earlier
+phase-1 simplex, kept here verbatim but for the names.
 """
 
 import random
@@ -17,9 +19,8 @@ from itertools import combinations
 from hypothesis import given, settings, strategies as st
 
 from newton_mu.geometry import (
+    Vec,
     affine_dim,
-    extreme_points,
-    in_convex_hull,
     polytope_facets,
     supporting_hyperplanes,
 )
@@ -31,6 +32,91 @@ from newton_mu.polyhedra import (
     newton_diagram,
     support,
 )
+
+
+# ---------------------------------------------------------------------------
+# Linear feasibility (phase-1 simplex with Bland's rule, exact arithmetic)
+# ---------------------------------------------------------------------------
+
+
+def ref_linear_feasible(rows: list[list[Fraction]], rhs: list[Fraction]) -> bool:
+    """Does A x = b admit x >= 0?  Exact phase-1 simplex."""
+    m = len(rows)
+    if m == 0:
+        return True
+    n = len(rows[0])
+    tableau: list[list[Fraction]] = []
+    for row, b in zip(rows, rhs):
+        r = [Fraction(v) for v in row]
+        bb = Fraction(b)
+        if bb < 0:
+            r = [-v for v in r]
+            bb = -bb
+        tableau.append(r + [Fraction(0)] * m + [bb])
+    for i in range(m):
+        tableau[i][n + i] = Fraction(1)
+    basis = [n + i for i in range(m)]
+    # reduced costs for the artificial objective (minimize sum of artificials)
+    zrow = [Fraction(0)] * (n + m + 1)
+    for i in range(m):
+        for j in range(n + m + 1):
+            zrow[j] -= tableau[i][j]
+    for i in range(m):
+        zrow[n + i] = Fraction(0)
+
+    while True:
+        enter = next((j for j in range(n + m) if zrow[j] < 0), None)
+        if enter is None:
+            break
+        best = None
+        for i in range(m):
+            if tableau[i][enter] > 0:
+                ratio = tableau[i][-1] / tableau[i][enter]
+                if best is None or ratio < best[0] or (ratio == best[0] and basis[i] < basis[best[1]]):
+                    best = (ratio, i)
+        if best is None:  # phase-1 objective is bounded below; unreachable
+            raise ArithmeticError("phase-1 simplex lost boundedness")
+        _, leave = best
+        pivot = tableau[leave][enter]
+        tableau[leave] = [v / pivot for v in tableau[leave]]
+        for i in range(m):
+            if i != leave and tableau[i][enter] != 0:
+                f = tableau[i][enter]
+                tableau[i] = [a - f * b for a, b in zip(tableau[i], tableau[leave])]
+        if zrow[enter] != 0:
+            f = zrow[enter]
+            zrow = [a - f * b for a, b in zip(zrow, tableau[leave])]
+        basis[leave] = enter
+    return -zrow[-1] == 0
+
+
+def ref_in_convex_hull(point: Vec, points: list[Vec], plus_orthant: bool = False) -> bool:
+    """Membership of point in conv(points) (optionally + nonnegative orthant)."""
+    if not points:
+        return False
+    n = len(point)
+    k = len(points)
+    slots = k + (n if plus_orthant else 0)
+    rows = []
+    for i in range(n):
+        row = [Fraction(points[j][i]) for j in range(k)]
+        if plus_orthant:
+            row += [Fraction(1) if t == i else Fraction(0) for t in range(n)]
+        rows.append(row)
+    rows.append([Fraction(1)] * k + [Fraction(0)] * (slots - k))
+    rhs = [Fraction(x) for x in point] + [Fraction(1)]
+    return ref_linear_feasible(rows, rhs)
+
+
+def ref_extreme_points(points) -> list[Vec]:
+    """Vertices of conv(points), in lexicographic order."""
+    pts = sorted(set(tuple(p) for p in points))
+    out = []
+    for i, p in enumerate(pts):
+        others = pts[:i] + pts[i + 1 :]
+        if not others or not ref_in_convex_hull(p, others):
+            out.append(p)
+    return out
 
 
 def reference_hyperplanes(points) -> dict:
@@ -56,14 +142,14 @@ def reference_hyperplanes(points) -> dict:
 def reference_diagram(s) -> NewtonDiagram:
     pts = list(s.points)
     facets = tuple(
-        Facet(tuple(extreme_points([pts[i] for i in on])), w, Fraction(c))
+        Facet(tuple(ref_extreme_points([pts[i] for i in on])), w, Fraction(c))
         for (w, c), on in sorted(reference_hyperplanes(pts).items())
         if min(w) > 0
     )
     vertices = tuple(
         p
         for i, p in enumerate(pts)
-        if len(pts) == 1 or not in_convex_hull(p, pts[:i] + pts[i + 1 :], plus_orthant=True)
+        if len(pts) == 1 or not ref_in_convex_hull(p, pts[:i] + pts[i + 1 :], plus_orthant=True)
     )
     return NewtonDiagram(s.n, s, facets, vertices)
 
@@ -132,6 +218,20 @@ def test_kernel_matches_reference_property(case):
     ]
     s = support(points + extra)
     assert repr(newton_diagram(s)) == repr(reference_diagram(s))
+
+
+def test_in_convex_hull_plain_and_orthant():
+    pts = [(2, 0), (0, 2)]
+    assert ref_in_convex_hull((1, 1), pts)
+    assert not ref_in_convex_hull((0, 0), pts)
+    # adding the positive orthant recession cone absorbs larger points
+    assert ref_in_convex_hull((5, 7), pts, plus_orthant=True)
+    assert not ref_in_convex_hull((0, 1), pts, plus_orthant=True)
+
+
+def test_extreme_points_drops_interior():
+    pts = [(0, 0), (2, 0), (0, 2), (1, 0), (1, 1)]
+    assert sorted(ref_extreme_points(pts)) == [(0, 0), (0, 2), (2, 0)]
 
 
 def test_polytope_facets_match_reference():

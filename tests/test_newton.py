@@ -6,7 +6,8 @@ from fractions import Fraction
 import pytest
 
 from conftest import random_offorigin_simplex
-from newton_mu.errors import DomainError, InvalidRegionError
+from newton_mu.cli import run
+from newton_mu.errors import ContainmentError, DomainError, InvalidRegionError
 from newton_mu.geometry import Simplex
 from newton_mu.newton import (
     decompose_difference,
@@ -124,6 +125,36 @@ def test_decompose_requires_nesting():
     y = gamma_minus(support([(3, 0), (0, 2)]))  # larger, not nested inside x
     with pytest.raises(DomainError):
         decompose_difference(x, y)
+
+
+def test_decompose_containment_error_is_pinned():
+    x = gamma_minus(support([(1, 0), (0, 2)]))
+    y = gamma_minus(support([(3, 0), (0, 2)]))
+    message = (
+        "outer support point (1, 0) lies above the inner diagram;"
+        " the inner region is not contained in the outer one"
+    )
+    with pytest.raises(ContainmentError) as exc:
+        decompose_difference(x, y)
+    assert type(exc.value) is ContainmentError
+    assert str(exc.value) == message
+    code, out = run(["decompose", "--poly", "x + y^2", "--inner-poly", "x^3 + y^2"])
+    assert code == 2
+    assert out == {"schema": "newton-mu/1", "error": {"type": "containment", "message": message}}
+
+
+def test_decompose_containment_counts_points_on_the_inner_diagram():
+    # (1, 1) lies on the inner diagram x + y = 2: contained, so no error
+    x = gamma_minus(support([(3, 0), (1, 1), (0, 3)]))
+    y = gamma_minus(support([(2, 0), (0, 2)]))
+    pieces = decompose_difference(x, y)
+    assert sum(p.total for p in pieces) == nu(x) - nu(y)
+    # (1, 0, 1) is below x + y + z = 3 in three variables
+    x = gamma_minus(support([(1, 0, 1), (3, 0, 0), (0, 3, 0), (0, 0, 3)]))
+    y = gamma_minus(support([(3, 0, 0), (0, 3, 0), (0, 0, 3)]))
+    with pytest.raises(ContainmentError) as exc:
+        decompose_difference(x, y)
+    assert str(exc.value).startswith("outer support point (1, 0, 1) lies above")
 
 
 def test_vanishing_report_zero_case():

@@ -1,6 +1,8 @@
 """Support sets, Newton diagrams, and regions under them."""
 
+import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -12,6 +14,7 @@ from newton_mu.errors import (
 )
 from newton_mu.geometry import Simplex
 from newton_mu.polyhedra import (
+    Facet,
     all_subsets,
     axis_simplex_region,
     check_dimension,
@@ -30,6 +33,7 @@ from newton_mu.polyhedra import (
     support,
     validate_region,
 )
+from test_hull_kernel import reference_diagram
 
 
 def test_support_sorts_dedups_validates():
@@ -96,6 +100,49 @@ def test_newton_diagram_absorbs_deep_points():
     s = support([(3, 0), (0, 3), (2, 2)])
     diag = newton_diagram(s)
     assert (2, 2) not in diag.vertices
+
+
+def test_point_inside_an_edge_is_no_vertex_however_many_facets_hold_it():
+    # (1, 0, 0, 2) is the midpoint of the edge from (2, 0, 0, 0) to
+    # (0, 0, 0, 4); at least four facets pass through it, but every normal
+    # among them is orthogonal to that edge, so their rank is below 4
+    s = support(
+        [(0, 0, 0, 4), (0, 0, 2, 0), (0, 1, 1, 1), (1, 0, 0, 2), (1, 3, 0, 3), (2, 0, 0, 0), (3, 3, 3, 0)]
+    )
+    diag = newton_diagram(s)
+    assert diag.vertices == ((0, 0, 0, 4), (0, 0, 2, 0), (0, 1, 1, 1), (2, 0, 0, 0))
+    assert diag.facets == (
+        Facet(diag.vertices, (2, 1, 2, 1), Fraction(4)),
+    )
+    assert diag == reference_diagram(s)
+
+
+def test_diagram_matches_reference_with_points_inside_faces():
+    # four and five variables, with midpoints of support pairs added so
+    # that non-dominated points sit inside edges and faces of the polyhedron
+    rng = random.Random(3)
+    inside = 0
+    for _ in range(16):
+        n = rng.choice([4, 4, 5])
+        pts = {tuple(rng.randint(0, 4) for _ in range(n)) for _ in range(rng.randint(3, 6))}
+        pts |= {
+            tuple(rng.choice([2, 4]) if j == i else 0 for j in range(n))
+            for i in range(n)
+            if rng.random() < 0.8
+        }
+        for a, b in combinations(sorted(pts), 2):
+            if all((x + y) % 2 == 0 for x, y in zip(a, b)) and rng.random() < 0.3:
+                pts.add(tuple((x + y) // 2 for x, y in zip(a, b)))
+        pts.discard((0,) * n)
+        s = support(sorted(pts))
+        diag = newton_diagram(s)
+        assert diag == reference_diagram(s), s.points
+        inside += any(
+            p not in diag.vertices
+            and not any(q != p and all(a <= b for a, b in zip(q, p)) for q in s.points)
+            for p in s.points
+        )
+    assert inside >= 8
 
 
 def test_gamma_minus_needs_convenient():
