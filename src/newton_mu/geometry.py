@@ -15,9 +15,12 @@ of a simplex in an axis-parallel coordinate subspace is the last pivot, up
 to sign, because that pivot is the minor on all pivot columns.  Integer
 points stay in integer arithmetic.  No Gram determinants.
 
-Hull questions have one answer, the facets of `supporting_hyperplanes`,
-and simplex membership has one, the barycentric rows of the simplex's
-chart (`_barycentric_rows`).
+Every hyperplane normal is the cofactor vector of one elimination
+(`_normal`).  `supporting_hyperplanes` enumerates the facets of small
+point sets, one elimination per d-subset: simplices, facets being
+triangulated, and the facets of one facet of a Newton diagram, whose
+compact facets `polyhedra` gift-wraps.  Simplex membership has one
+answer, the barycentric rows of the simplex's chart (`_barycentric_rows`).
 """
 
 from __future__ import annotations
@@ -219,16 +222,35 @@ def _chart(points) -> list[tuple]:
     return [tuple(p[c] for c in pivots) for p in points]
 
 
+def _normal(rows, pivots, d):
+    """Primitive integer kernel vector of an integer matrix with d columns
+    and rank d - 1, read off its `echelon` (rows, pivots); None for a
+    lower rank.
+
+    The one free column is set to |last pivot|, the minor of the pivot
+    rows on the pivot columns, so the exact integer back-substitution
+    gives the cofactor vector (Cramer's rule), and the gcd is divided out.
+    """
+    if len(pivots) != d - 1:
+        return None
+    free = next(c for c in range(d) if c not in pivots)
+    x = [0] * d
+    x[free] = abs(rows[len(pivots) - 1][pivots[-1]]) if pivots else 1
+    x = back_substitute(rows, pivots, x)
+    g = gcd(*x)
+    return tuple(v // g for v in x)
+
+
 def supporting_hyperplanes(points):
     """Hyperplanes through d affinely independent points of R^d that leave
     every point on one side.
 
     This is the one k-subset enumeration of the package: every affinely
     independent d-subset spans a candidate, whose normal is the cofactor
-    vector of the subset's `_frame`: its free coordinate is |last pivot|
-    (the minor on the other d - 1 columns), the others come from an exact
-    integer back-substitution, and the gcd is divided out.  The loop costs
-    C(N, d) eliminations; each distinct hyperplane is then evaluated once,
+    vector of the subset's `_frame` (`_normal`).  The loop costs C(N, d)
+    eliminations, so it serves small sets only: simplices and facets being
+    triangulated, and the facets of one facet while the Newton diagram is
+    wrapped.  Each distinct hyperplane is evaluated once,
     however many subsets span it, and its evaluation stops at the first
     point that shows points strictly on both sides.
 
@@ -245,18 +267,9 @@ def supporting_hyperplanes(points):
     grid = [tuple(int(x * scale) for x in p) for p in points]
     seen = set()
     for subset in combinations(range(len(points)), d):
-        rows, pivots, _ = _frame([grid[j] for j in subset])
-        if len(pivots) < d - 1:
+        w = _normal(*_frame([grid[j] for j in subset])[:2], d)
+        if w is None:
             continue
-        # d - 1 independent rows in d columns leave exactly one free
-        # column; set to |last pivot|, it is positive and the rest of the
-        # kernel vector is integral
-        free = next(c for c in range(d) if c not in pivots)
-        x = [0] * d
-        x[free] = abs(rows[-1][pivots[-1]]) if pivots else 1
-        x = back_substitute(rows, pivots, x)
-        g = gcd(*x)
-        w = tuple(v // g for v in x)
         c = sum(wi * bi for wi, bi in zip(w, points[subset[0]]))
         if (w, c) in seen:
             continue

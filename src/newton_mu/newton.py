@@ -224,7 +224,7 @@ def decompose_difference(x: NewtonRegion, y: NewtonRegion) -> list[Decomposition
         for p in x.source.points:
             if any(sum(w * c for w, c in zip(f.inner_normal, p)) < f.offset for f in facets):
                 raise ContainmentError(
-                    f"outer support point {p} lies above the inner diagram;"
+                    f"outer support point {p} lies below the inner diagram;"
                     " the inner region is not contained in the outer one"
                 )
         simplices = _removal_shells(x.source, y.source)

@@ -1,14 +1,45 @@
 """Supports, Newton diagrams, and regions under them.
 
 A SupportSet is the exponent set of a power series.  Its Newton polyhedron
-is the hull of the translated orthants; the diagram is the union of compact
-faces, enumerated here as the facets with strictly positive inner normal.
-`newton_diagram` finds them exactly from the non-dominated support points
-only (a point lying coordinatewise at or above another support point
-touches no compact face).  The other facets of the polyhedron are the
-compact facets of the support's coordinate projections, and a point is a
-vertex when the normals of the facets through it have full rank; its
-docstring proves both steps.  gamma_minus cones the diagram to the
+P is the hull of the translated orthants; the diagram is the union of
+compact faces, enumerated here as the facets with strictly positive inner
+normal.  `newton_diagram` finds them exactly, once per SupportSet, from
+the non-dominated support points only (a point lying coordinatewise at or
+above another support point touches no compact face).
+
+The compact facets are gift-wrapped (Chand and Kapur, J. ACM 17, 1970;
+Swart, J. Algorithms 6, 1985) in integer arithmetic, so the cost follows
+the facets found, not the C(N, n) n-subsets of N candidates:
+
+  * Wrap step.  Given a facet w . x >= c and a ridge R of it, one
+    `echelon` gives the normal u of the edges of R and w, oriented so that
+    u . x < cu (cu = u . r on R) at the facet's points off R.  Every
+    hyperplane through R has its normal in span(w, u).  Each candidate q
+    gives a = w . q - c >= 0 and b = u . q - cu, and the facet across R
+    runs through the q with a > 0 where b / a is greatest, compared by
+    cross-multiplying: its normal is b* w - a* u, its offset b* c - a* cu,
+    divided by the normal's gcd.  Two dot products per candidate, where
+    the n-subset loop ran one elimination per subset.
+  * Ridges.  A facet with exactly n points has their (n-1)-subsets as
+    ridges, any other the facets of its points (`polytope_facets`, on a
+    small set).  Each ridge, kept as a set of points, is wrapped once.
+  * Stop rule.  A ridge whose points all have x_j = 0 borders the facet
+    x_j >= 0, so nothing is wrapped about it.
+  * First facet.  The points with x_1 = 0 give, recursively, one compact
+    facet (w_r, c_r) of their polyhedron in R^(n-1), the least point when
+    n = 1.  It is a ridge of the facet x_1 >= 0, and one wrap step from
+    (e_1, 0), with u = -(0, w_r) and cu = -c_r, crosses it.
+  * Supports that are not convenient get the points M e_j on every axis,
+    M = n D H + 1 with D the largest coordinate and H a Hadamard bound on
+    the (n-1)-minors of the edge vectors; dominance drops the ones on axes
+    with a pure power.  Only the facets whose points avoid the added ones
+    are kept, and they are exactly the compact facets of the support.
+
+The `newton_diagram` docstring proves the stop rule, that the wrap
+reaches every compact facet, and the bound on M.  The other facets of P
+are the compact facets of the support's coordinate projections, and a
+point is a vertex when the normals of the facets through it have full
+rank; that docstring proves both.  gamma_minus cones the diagram to the
 origin and triangulates it (pulling rule at the lexicographically least
 vertex), giving a NewtonRegion: a union of simplices with cached exact
 subset volumes, the single data structure every Newton-number
@@ -21,6 +52,8 @@ import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
+from math import gcd, isqrt
+from operator import mul
 
 from .errors import (
     DomainError,
@@ -33,9 +66,10 @@ from .geometry import (
     Vec,
     _barycentric_rows,
     _covers,
+    _normal,
     coordinate_support,
+    polytope_facets,
     pull_triangulate,
-    supporting_hyperplanes,
 )
 from .linalg import echelon
 
@@ -85,10 +119,14 @@ def all_subsets(n: int) -> list[frozenset[int]]:
 
 @dataclass(frozen=True)
 class SupportSet:
-    """Finite set of exponent vectors (nonnegative integers), no duplicates."""
+    """Finite set of exponent vectors (nonnegative integers), no duplicates.
+
+    Its Newton diagram is built once and kept in `_cache`.
+    """
 
     variables: tuple[str, ...]
     points: tuple[tuple[int, ...], ...]
+    _cache: dict = field(default_factory=dict, init=False, compare=False, repr=False, hash=False)
 
     def __post_init__(self):
         variables = tuple(self.variables)
@@ -165,30 +203,140 @@ class NewtonDiagram:
 def _compact_hyperplanes(points) -> tuple[list, list]:
     """(candidates, sorted (w, c, on) with w > 0) of a point set: its
     non-dominated points and the hyperplanes of its compact facets, with on
-    indexing the candidates."""
+    indexing the candidates.  The facets are gift-wrapped; the module
+    docstring gives the wrap and why it finds every compact facet."""
     pts = sorted(set(points))
     cands = [
         p for p in pts
         if not any(q != p and all(a <= b for a, b in zip(q, p)) for q in pts)
     ]
-    found = sorted(
-        (w, c, on) for w, c, on in supporting_hyperplanes(cands) if min(w) > 0
+    n = len(cands[0])
+    if n == 1:
+        return cands, [((1,), cands[0][0], (0,))]
+    if not any(cands[0]):
+        return cands, []  # the origin dominates every other point
+    # M = n D H + 1 on the axes without a pure power (module docstring)
+    top = max(max(p) for p in cands)
+    far = n * top * (isqrt(((n - 1) * top * top) ** (n - 1)) + 1) + 1
+    axes = (tuple(far * (i == j) for i in range(n)) for j in range(n))
+    pool = cands + [
+        e for e in axes if not any(all(a <= b for a, b in zip(q, e)) for q in cands)
+    ]
+    first = _first_facet(pool)
+    facets = {first[:2]: first[2]}
+    todo = [first]
+    wrapped = set()
+    while todo:
+        w, c, on = todo.pop()
+        if len(on) == n:
+            ridges = combinations(on, n - 1)
+        else:
+            ridges = [tuple(on[i] for i in f) for f in polytope_facets([pool[i] for i in on])]
+        for ridge in ridges:
+            key = frozenset(ridge)
+            if key in wrapped or not all(map(any, zip(*(pool[i] for i in ridge)))):
+                continue  # wrapped from the other side, or on some x_j = 0
+            wrapped.add(key)
+            base = pool[ridge[0]]
+            rows, pivots, _ = echelon(
+                [[a - b for a, b in zip(pool[i], base)] for i in ridge[1:]] + [list(w)]
+            )
+            u = _normal(rows, pivots, n)
+            cu = sum(map(mul, u, base))
+            if sum(map(mul, u, pool[next(i for i in on if i not in key)])) > cu:
+                u, cu = tuple(-x for x in u), -cu  # negative off the ridge
+            found = _rotate(pool, w, c, u, cu)
+            if found[:2] not in facets:
+                facets[found[:2]] = found[2]
+                todo.append(found)
+    # the facets through no added point are the candidates' own
+    return cands, sorted((w, c, on) for (w, c), on in facets.items() if on[-1] < len(cands))
+
+
+def _first_facet(pool) -> tuple:
+    """One compact facet (w, c, on) of a convenient point set without the
+    origin: wrap the facet x_1 >= 0 about the ridge that one compact facet
+    of the points with x_1 = 0 gives (the least point when n = 1)."""
+    n = len(pool[0])
+    if n == 1:
+        return (1,), min(p[0] for p in pool), ()
+    w, c, _ = _first_facet([p[1:] for p in pool if p[0] == 0])
+    return _rotate(pool, (1,) + (0,) * (n - 1), 0, (0,) + tuple(-x for x in w), -c)
+
+
+def _rotate(pool, w, c, u, cu) -> tuple:
+    """The facet (w', c', on) across the ridge {w . x = c, u . x = cu} of
+    the facet w . x >= c, where u . x < cu at the facet's points off the
+    ridge: the wrap step of the module docstring.  Its points are the
+    ridge's (a = b = 0) and those tied at the greatest b / a.
+    """
+    best_a = best_b = 0
+    on: list[int] = []
+    ties: list[int] = []
+    for i, q in enumerate(pool):
+        a = sum(map(mul, w, q)) - c
+        b = sum(map(mul, u, q)) - cu
+        if a == 0:
+            if b == 0:
+                on.append(i)
+        elif not best_a or b * best_a > best_b * a:
+            best_a, best_b, ties = a, b, [i]
+        elif b * best_a == best_b * a:
+            ties.append(i)
+    normal = [best_b * x - best_a * y for x, y in zip(w, u)]
+    g = gcd(*normal)
+    return (
+        tuple(x // g for x in normal),
+        (best_b * c - best_a * cu) // g,
+        tuple(sorted(on + ties)),
     )
-    return cands, found
 
 
 def newton_diagram(s: SupportSet) -> NewtonDiagram:
     """Compact facets (strictly positive inner normal) plus diagram vertices.
 
+    The diagram is built once per SupportSet and kept in its `_cache`; the
+    dimension guardrail is checked on every call.
+
     Candidates are the non-dominated support points: p is dropped when
     another support point q has q <= p coordinatewise.  Dropping p leaves
     the polyhedron unchanged (p lies in q + orthant) and p is no vertex,
     and for every normal w > 0, w . p > w . q, so p is strictly above every
-    hyperplane that can carry a compact facet.  Candidate hyperplanes run
-    over affinely independent n-subsets of the candidates
-    (`supporting_hyperplanes`); those with a positive normal are the
-    compact facets.  A lower-dimensional diagram (no compact facet of
-    dimension n-1) is legal and yields an empty facet list.
+    hyperplane that can carry a compact facet.  The compact facets are
+    gift-wrapped over the candidates (module docstring).  A
+    lower-dimensional diagram (no compact facet of dimension n-1) is legal
+    and yields an empty facet list.  With the origin among the support
+    points the candidates are the origin alone: no compact facet for
+    n >= 2, and the facet x >= 0 for n = 1.
+
+    The wrap is complete.  Let S be convenient without the origin (n >= 2),
+    so that P's facets are the compact ones and the x_j >= 0 (shown
+    below).  Stop rule: if a ridge R of a compact facet F lies in x_j = 0,
+    then F, whose normal is > 0, meets x_j = 0 in a proper face that
+    contains R, so in R, and R's two facets are F and x_j >= 0.  A ridge in
+    no coordinate hyperplane lies in no non-compact facet, so both its
+    facets are compact and the wrap step crosses it.  Connectivity: the
+    origin is not in P, and a ray from it into the orthant enters P (S is
+    convenient).  At the entry point some facet w . x >= c with c > 0 is
+    tight, a compact one, and no later point of the ray lies on a compact
+    facet.  So x -> x / sum(x) maps the union of the compact facets one to
+    one and continuously onto the simplex {x >= 0, sum x = 1}: it is an
+    (n-1)-ball.  Two facets of a polyhedral (n-1)-ball are joined by a
+    chain of facets, each sharing a ridge with the next (removing the faces
+    of dimension n-3 or less leaves a connected manifold), and such a
+    ridge is shared by two compact facets, so it lies in no coordinate
+    hyperplane.  Hence the wrap from one compact facet reaches all of them.
+
+    Bound on M, for S not convenient.  A compact facet (w, c) of S runs
+    through n affinely independent candidates p_0..p_{n-1}, whose edges
+    p_i - p_0 have entries in [-D, D].  Their cofactor vector is a nonzero
+    integer multiple of the primitive w, and each entry is an (n-1)-minor,
+    at most (sqrt(n-1) D)^(n-1) <= H by Hadamard's inequality.  So
+    1 <= w_j <= H and c = w . p_0 <= n D H < M <= w . M e_j: each added
+    point is strictly above (w, c), which stays a compact facet of the
+    enlarged, convenient support with the same points.  Conversely a
+    compact facet of the enlarged support whose points are all in S
+    supports S and spans n - 1 dimensions, so it is a compact facet of S.
 
     Every facet comes from a projection.  The polyhedron P = conv(S) +
     orthant is full-dimensional and every facet normal w is >= 0.  Take J
@@ -214,6 +362,8 @@ def newton_diagram(s: SupportSet) -> NewtonDiagram:
     of P.
     """
     check_dimension(s.n)
+    if "diagram" in s._cache:
+        return s._cache["diagram"]
     n = s.n
     cands, found = _compact_hyperplanes(s.points)
     through = [[] for _ in cands]  # normals of the facets of P through each
@@ -237,7 +387,8 @@ def newton_diagram(s: SupportSet) -> NewtonDiagram:
         for w, c, on in found
     )
     vertices = tuple(p for p, v in zip(cands, vertex) if v)
-    return NewtonDiagram(n, s, facets, vertices)
+    s._cache["diagram"] = NewtonDiagram(n, s, facets, vertices)
+    return s._cache["diagram"]
 
 
 @dataclass(frozen=True)

@@ -213,3 +213,39 @@ def test_parser_is_built_once_and_keeps_no_state(monkeypatch, tmp_path):
         assert builds == [1]
     finally:
         cli._parser.cache_clear()
+
+
+def test_requests_build_each_support_diagram_once(monkeypatch):
+    import sys
+
+    from newton_mu import polyhedra
+
+    calls, builds = [], []
+    real, real_diagram = polyhedra.newton_diagram, polyhedra.NewtonDiagram
+    # wrap every binding a call can reach, as the benchmark tracer does
+    for name, module in list(sys.modules.items()):
+        if name.startswith("newton_mu") and getattr(module, "newton_diagram", None) is real:
+            monkeypatch.setattr(
+                module, "newton_diagram", lambda s: calls.append(s) or real(s)
+            )
+    monkeypatch.setattr(
+        polyhedra, "NewtonDiagram", lambda *args: builds.append(args[1]) or real_diagram(*args)
+    )
+    cases = [
+        (["nn", "--poly", "x^3 + y^2", "--with-oracles"], 3, 1),
+        (
+            [
+                "family-check", "--poly", "x^3 + y^3 + z^5 + x*w^5 + y^2*z*w + w^8",
+                "--vertex", "0,2,1,1",
+            ],
+            4,
+            3,  # FamilyStep.f0 is a new support on every access
+        ),
+        (["decompose", "--poly", "x^3 + y^2", "--inner-poly", "x + y"], 5, 4),
+    ]
+    for argv, want_calls, want_builds in cases:
+        calls.clear()
+        builds.clear()
+        assert run(argv)[0] == 0
+        assert (len(calls), len(builds)) == (want_calls, want_builds), argv
+        assert len(set(map(id, builds))) == len(builds)

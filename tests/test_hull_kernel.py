@@ -5,16 +5,20 @@ n-subset of *all* support points spans a candidate hyperplane, the ones
 with a strictly positive normal that leave every point on one side are
 the compact facets, and the diagram vertices are the support points that
 the exact LP does not place in the hull of the others plus the orthant.
-The kernel drops dominated points, stops evaluating a candidate early and
+The kernel drops dominated points, gift-wraps the compact facets and
 decides vertices by the rank of the facet normals through them, with no
 LP; its output must be identical.  The LP (`ref_linear_feasible`,
 `ref_in_convex_hull`, `ref_extreme_points`) is the package's earlier
-phase-1 simplex, kept here verbatim but for the names.
+phase-1 simplex, kept here verbatim but for the names, and
+`ref_compact_hyperplanes` is the exhaustive n-subset enumeration that the
+wrap replaced.
 """
 
+import json
 import random
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 
 from hypothesis import given, settings, strategies as st
 
@@ -25,9 +29,11 @@ from newton_mu.geometry import (
     supporting_hyperplanes,
 )
 from newton_mu.linalg import nullspace_vector, primitive_integer_vector, rank
+from newton_mu.parsing import support_from_json
 from newton_mu.polyhedra import (
     Facet,
     NewtonDiagram,
+    _compact_hyperplanes,
     is_convenient,
     newton_diagram,
     support,
@@ -285,3 +291,93 @@ def test_non_convenient_vertex_off_every_compact_facet():
     assert d.facets == ()
     assert d.vertices == ((0, 0, 1), (1, 1, 0))
     assert d == reference_diagram(s)
+
+
+# ---------------------------------------------------------------------------
+# The gift wrap of the compact facets against the exhaustive enumeration
+# ---------------------------------------------------------------------------
+
+
+def ref_compact_hyperplanes(points) -> tuple[list, list]:
+    """The body the wrap replaced: every n-subset of the candidates through
+    `supporting_hyperplanes`, C(N, n) eliminations."""
+    pts = sorted(set(points))
+    cands = [
+        p for p in pts
+        if not any(q != p and all(a <= b for a, b in zip(q, p)) for q in pts)
+    ]
+    found = sorted(
+        (w, c, on) for w, c, on in supporting_hyperplanes(cands) if min(w) > 0
+    )
+    return cands, found
+
+
+def mostly_inconvenient_supports():
+    """400 seeded supports, n = 1..5 in turn; an axis gets a pure power
+    with probability 0.3, so most of them miss one."""
+    rng = random.Random(20261019)
+    for k in range(400):
+        n = 1 + k % 5
+        top = rng.choice([2, 3, 5, 9])
+        count = rng.randint(1, 10 if n < 4 else 7)
+        pts = {tuple(rng.randint(0, top) for _ in range(n)) for _ in range(count)}
+        for j in range(n):
+            if rng.random() < 0.3:
+                pts.add(tuple(rng.randint(1, top + 2) if i == j else 0 for i in range(n)))
+        yield sorted(pts)
+
+
+def test_wrap_matches_exhaustive_on_supports_and_their_projections():
+    inconvenient = 0
+    for pts in mostly_inconvenient_supports():
+        n = len(pts[0])
+        inconvenient += not is_convenient(support(pts))[0]
+        for size in range(1, n + 1):
+            for cols in combinations(range(n), size):
+                proj = [tuple(p[j] for j in cols) for p in pts]
+                cands, found = _compact_hyperplanes(proj)
+                assert (cands, found) == ref_compact_hyperplanes(proj), proj
+                # no added far point M e_j reaches a candidate or a facet
+                assert set(cands) <= set(proj)
+                assert all(on[-1] < len(cands) for _, _, on in found)
+        d = newton_diagram(support(pts))
+        assert set(d.vertices) <= set(pts)
+        assert all(set(f.vertices) <= set(pts) for f in d.facets)
+    assert inconvenient > 250  # 284 of the 400
+
+
+def test_wrap_origin_cases():
+    # n = 1: the origin keeps its facet x >= 0
+    assert _compact_hyperplanes([(0,), (2,)]) == ([(0,)], [((1,), 0, (0,))])
+    # n >= 2: the origin alone has no compact facet
+    for n in (2, 3, 4):
+        origin = (0,) * n
+        others = [(1,) * n, (2,) + (0,) * (n - 1)]
+        assert _compact_hyperplanes([origin] + others) == ([origin], [])
+        assert _compact_hyperplanes([origin]) == ([origin], [])
+
+
+def test_wrap_matches_exhaustive_on_the_64_point_support():
+    # perfbench/record.py layer_support(n=3, 64 points, scale 30): the
+    # exhaustive enumeration runs C(38, 3) = 8,436 eliminations here
+    path = Path(__file__).parent / "data" / "support_n3_64.json"
+    s = support_from_json(json.loads(path.read_text()))
+    cands, found = _compact_hyperplanes(s.points)
+    assert (len(s.points), len(cands), len(found)) == (64, 38, 24)
+    assert (cands, found) == ref_compact_hyperplanes(s.points)
+
+
+def test_wrap_eliminations_follow_the_facets(monkeypatch):
+    import newton_mu.geometry as geometry
+    import newton_mu.polyhedra as polyhedra
+
+    calls = []
+    real = geometry.echelon
+    for module in (geometry, polyhedra):
+        monkeypatch.setattr(module, "echelon", lambda m: calls.append(1) or real(m))
+    path = Path(__file__).parent / "data" / "support_n3_64.json"
+    d = newton_diagram(support_from_json(json.loads(path.read_text())))
+    assert len(d.facets) == 24
+    # 105 today (ridges, non-simplicial facets, vertex ranks), against the
+    # 8,436 n-subsets of the 38 candidates
+    assert len(calls) < 300

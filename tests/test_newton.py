@@ -131,7 +131,7 @@ def test_decompose_containment_error_is_pinned():
     x = gamma_minus(support([(1, 0), (0, 2)]))
     y = gamma_minus(support([(3, 0), (0, 2)]))
     message = (
-        "outer support point (1, 0) lies above the inner diagram;"
+        "outer support point (1, 0) lies below the inner diagram;"
         " the inner region is not contained in the outer one"
     )
     with pytest.raises(ContainmentError) as exc:
@@ -154,7 +154,7 @@ def test_decompose_containment_counts_points_on_the_inner_diagram():
     y = gamma_minus(support([(3, 0, 0), (0, 3, 0), (0, 0, 3)]))
     with pytest.raises(ContainmentError) as exc:
         decompose_difference(x, y)
-    assert str(exc.value).startswith("outer support point (1, 0, 1) lies above")
+    assert str(exc.value).startswith("outer support point (1, 0, 1) lies below")
 
 
 def test_vanishing_report_zero_case():

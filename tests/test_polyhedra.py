@@ -46,6 +46,18 @@ def test_support_sorts_dedups_validates():
         support([(1, 0), (1, 0, 0)])
 
 
+def test_diagram_is_memoized_per_support_behind_the_dimension_guardrail(monkeypatch):
+    s = support([(3, 0, 0), (0, 3, 0), (0, 0, 3), (1, 1, 1)])
+    d = newton_diagram(s)
+    assert newton_diagram(s) is d
+    assert newton_diagram(support(s.points)) == d  # equal supports, own caches
+    assert s == support(s.points) and hash(s) == hash(support(s.points))
+    assert "_cache" not in repr(s)
+    monkeypatch.setenv("NEWTON_MU_MAX_N", "2")
+    with pytest.raises(GuardrailError):
+        newton_diagram(s)
+
+
 def test_support_point_guardrail():
     pts = [(i, 1) for i in range(70)]
     with pytest.raises(GuardrailError):
