@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import DecompositionError, DomainError, FormulaMismatchError
 from .geometry import Simplex
@@ -61,7 +62,7 @@ class FamilyStep:
             )
         self.f0  # force convenience validation of the truncated support
 
-    @property
+    @cached_property
     def f0(self) -> SupportSet:
         rest = tuple(p for p in self.f1.points if p != self.removed)
         sub = SupportSet(self.f1.variables, rest)

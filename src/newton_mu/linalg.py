@@ -1,8 +1,8 @@
 """Exact linear algebra: fraction-free elimination over the integers, and
 the same recurrence over Fraction for rational input.
 
-Matrices are lists of row lists.  Every routine here is one forward
-elimination (`echelon`) followed, where a solution is wanted, by one
+Matrices are lists of row lists.  There are two routines: one forward
+elimination (`echelon`) and, where a solution is wanted, one
 back-substitution (`back_substitute`).  Rows are neither normalized nor
 reduced upward, because most callers only need the rank, a minor or a
 kernel vector.
@@ -22,17 +22,11 @@ k-th row is the k x k minor on the first k rows and pivot columns, so a
 determinant is the sign of the row swaps times the last pivot, not the
 product of the pivots.  Rational input runs the same recurrence in
 Fraction, where the pivots are the same minors.
-
-`determinant`, `rank`, `nullspace_vector` and `primitive_integer_vector`
-no longer have a caller in the package: `geometry` reads dimension,
-charts, volumes and normals off one `echelon`.  They are kept as the
-independent references that the tests freeze and compare against.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
 from operator import floordiv, truediv
 
 
@@ -102,67 +96,3 @@ def back_substitute(rows, pivots, x: list) -> list:
         else:
             x[col] = numerator / pivot
     return x
-
-
-def determinant(matrix) -> Fraction:
-    """Exact determinant of a square matrix of rationals: the sign of the
-    row swaps times the last Bareiss pivot."""
-    size = len(matrix)
-    if any(len(row) != size for row in matrix):
-        raise ValueError("determinant requires a square matrix")
-    if not size:
-        return Fraction(1)
-    rows, pivots, sign = echelon(matrix)
-    if len(pivots) < size:
-        return Fraction(0)
-    return Fraction(sign * rows[-1][-1])
-
-
-def rank(matrix) -> int:
-    """Row rank over the rationals."""
-    return len(echelon(matrix)[1])
-
-
-def solve(matrix, rhs) -> list[Fraction] | None:
-    """Solve A x = b exactly.
-
-    Accepts rectangular A; returns one solution (free variables pinned to 0)
-    or None when inconsistent.
-    """
-    if len(matrix) != len(rhs):
-        raise ValueError("rhs length mismatch")
-    if not matrix:
-        return []
-    cols = len(matrix[0])
-    rows, pivots, _ = echelon([list(row) + [b] for row, b in zip(matrix, rhs)])
-    if pivots and pivots[-1] == cols:
-        return None
-    return [Fraction(v) for v in back_substitute(rows, pivots, [0] * cols)]
-
-
-def nullspace_vector(matrix) -> list[Fraction] | None:
-    """One nonzero kernel vector of A, or None when A has full column rank.
-
-    The first free coordinate is 1 and the other free coordinates are 0.
-    """
-    if not matrix:
-        return None
-    cols = len(matrix[0])
-    rows, pivots, _ = echelon(matrix)
-    free = next((c for c in range(cols) if c not in pivots), None)
-    if free is None:
-        return None
-    x = [0] * cols
-    x[free] = 1
-    return [Fraction(v) for v in back_substitute(rows, pivots, x)]
-
-
-def primitive_integer_vector(vec) -> tuple[int, ...]:
-    """Scale a rational vector to coprime integers (sign preserved)."""
-    fracs = [Fraction(v) for v in vec]
-    if all(v == 0 for v in fracs):
-        raise ValueError("zero vector has no primitive form")
-    denom = lcm(*[v.denominator for v in fracs])
-    ints = [int(v * denom) for v in fracs]
-    g = gcd(*ints)
-    return tuple(v // g for v in ints)

@@ -191,12 +191,16 @@ def _removal_shells(outer: SupportSet, inner: SupportSet) -> list[Simplex]:
     points missing from the outer support are removed one at a time; each
     removal frees the cone from the removed point over the strictly visible
     facets of the new diagram.  Points already absorbed contribute nothing.
+    The last removal leaves the outer support itself, whose diagram is kept.
     """
     cur = set(outer.points) | set(inner.points)
     shells: list[Simplex] = []
     for apex in sorted(set(inner.points) - set(outer.points)):
         cur.remove(apex)
-        shells += cone_over_visible_facets(SupportSet(outer.variables, tuple(sorted(cur))), apex)
+        if len(cur) > len(outer.points):
+            shells += cone_over_visible_facets(SupportSet(outer.variables, tuple(sorted(cur))), apex)
+        else:
+            shells += cone_over_visible_facets(outer, apex)
     return shells
 
 

@@ -1,19 +1,18 @@
 """Cross-checks of the headline quantities.
 
-Volumes are recomputed by lattice-point counting and interpolation, and
-Milnor numbers by exact linear algebra on truncated Jacobian ideals; both
-avoid the diagram and triangulation code.  The counting oracle tests
+Volumes are recomputed by lattice-point counting and a finite difference,
+and Milnor numbers by exact linear algebra on truncated Jacobian ideals;
+both avoid the diagram and triangulation code.  The counting oracle tests
 lattice points with the barycentric rows of `geometry._barycentric_rows`,
 the same helper that `polyhedra.validate_region` screens overlaps with,
-and solves its interpolation with `linalg`, so a fault in that helper or
-in the elimination can reach both sides of a comparison.  The
-shuffled-order oracle reuses the diagram and pulling code with a different
-vertex order, so it checks only that the Newton number does not depend on
-the pulling order, not that the diagram is right.  The colength oracle
-eliminates with its own sparse routine (`_sparse_rank`), not with
-`linalg.echelon`, so the check nu = mu keeps a route that shares no
-elimination code with the volumes.  All are deliberately slow and kept to
-small inputs.
+so a fault in that helper or in its elimination can reach both sides of a
+comparison.  The shuffled-order oracle reuses the diagram and pulling
+code with a different vertex order, so it checks only that the Newton
+number does not depend on the pulling order, not that the diagram is
+right.  The colength oracle eliminates with its own sparse routine
+(`_sparse_rank`), not with `linalg.echelon`, so the check nu = mu keeps a
+route that shares no elimination code with the volumes.  All are
+deliberately slow and kept to small inputs.
 """
 
 from __future__ import annotations
@@ -22,10 +21,10 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product as iter_product
+from math import comb, factorial
 
 from .errors import DomainError, StabilizationError
 from .geometry import Simplex, _barycentric_rows, _covers
-from .linalg import solve
 from .newton import newton_number
 from .polyhedra import NewtonRegion, SupportSet, gamma_minus
 
@@ -91,10 +90,10 @@ def _integer_vertices(simplices) -> None:
 def ehrhart_volume(x: NewtonRegion | Simplex) -> Fraction:
     """Top-degree coefficient of the lattice-point counting polynomial.
 
-    Counts lattice points of the dilates k = 1..n+1 of the region,
-    interpolates the degree-n counting polynomial exactly, and reads off
-    the leading coefficient, which equals the Euclidean volume.  Only for
-    small dimensions; counting is exponential.
+    Counts lattice points of the dilates k = 1..n+1 of the region and
+    reads the leading coefficient of the degree-n counting polynomial, which
+    equals the Euclidean volume, as the n-th forward difference of the
+    counts over n!.  Only for small dimensions; counting is exponential.
     """
     region = x if isinstance(x, NewtonRegion) else NewtonRegion(x.n, (x,))
     n = region.n
@@ -129,11 +128,12 @@ def ehrhart_volume(x: NewtonRegion | Simplex) -> Fraction:
                 s.contains_point(point) for s in dilated
             ):
                 count += 1
-        counts.append(Fraction(count))
+        counts.append(count)
 
-    # Solve the Vandermonde system sum_j c_j k^j = count_k exactly.
-    rows = [[Fraction(k) ** j for j in range(n + 1)] for k in range(1, n + 2)]
-    return solve(rows, counts)[n]
+    # the n-th forward difference of a degree-n polynomial is its leading
+    # coefficient times n!
+    top = sum((-1) ** (n - i) * comb(n, i) * count for i, count in enumerate(counts))
+    return Fraction(top, factorial(n))
 
 
 def shuffled_newton_number(s: SupportSet, seed: int) -> Fraction:

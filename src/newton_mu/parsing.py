@@ -289,4 +289,8 @@ def support_from_json(data) -> SupportSet:
         isinstance(v, str) for v in variables
     ):
         raise ParseError('support JSON "variables" must be a list of names', 0)
+    elif len(set(variables)) != len(variables) or len(variables) != len(points[0]):
+        raise ParseError(
+            f'support JSON "variables" must name the {len(points[0])} coordinates once each', 0
+        )
     return SupportSet(tuple(variables), tuple(points))

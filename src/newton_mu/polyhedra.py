@@ -9,7 +9,8 @@ above another support point touches no compact face).
 
 The compact facets are gift-wrapped (Chand and Kapur, J. ACM 17, 1970;
 Swart, J. Algorithms 6, 1985) in integer arithmetic, so the cost follows
-the facets found, not the C(N, n) n-subsets of N candidates:
+the facets found, not the C(N, n) n-subsets of N candidates, and the
+vertices are read off the same wrap:
 
   * Wrap step.  Given a facet w . x >= c and a ridge R of it, one
     `echelon` gives the normal u of the edges of R and w, oriented so that
@@ -30,20 +31,20 @@ the facets found, not the C(N, n) n-subsets of N candidates:
     n = 1.  It is a ridge of the facet x_1 >= 0, and one wrap step from
     (e_1, 0), with u = -(0, w_r) and cu = -c_r, crosses it.
   * Supports that are not convenient get the points M e_j on every axis,
-    M = n D H + 1 with D the largest coordinate and H a Hadamard bound on
-    the (n-1)-minors of the edge vectors; dominance drops the ones on axes
-    with a pure power.  Only the facets whose points avoid the added ones
-    are kept, and they are exactly the compact facets of the support.
+    M = n^2 D H + 1 with D the largest coordinate and H a Hadamard bound
+    on the (n-1)-minors of the edge vectors; dominance drops the ones on
+    axes with a pure power.  Only the facets whose points avoid the added
+    ones are kept, and they are exactly the compact facets of the support.
+  * Vertices.  A point of a wrapped facet, also of one through an added
+    point, is a vertex when the facet's ridges through it share no other
+    point; the added points are dropped from the vertices.
 
 The `newton_diagram` docstring proves the stop rule, that the wrap
-reaches every compact facet, and the bound on M.  The other facets of P
-are the compact facets of the support's coordinate projections, and a
-point is a vertex when the normals of the facets through it have full
-rank; that docstring proves both.  gamma_minus cones the diagram to the
-origin and triangulates it (pulling rule at the lexicographically least
-vertex), giving a NewtonRegion: a union of simplices with cached exact
-subset volumes, the single data structure every Newton-number
-computation consumes.
+reaches every compact facet, the bound on M and the vertex rule.
+gamma_minus cones the diagram to the origin and triangulates it (pulling
+rule at the lexicographically least vertex), giving a NewtonRegion: a
+union of simplices with cached exact subset volumes, the single data
+structure every Newton-number computation consumes.
 """
 
 from __future__ import annotations
@@ -200,11 +201,13 @@ class NewtonDiagram:
     vertices: tuple[Vec, ...]
 
 
-def _compact_hyperplanes(points) -> tuple[list, list]:
-    """(candidates, sorted (w, c, on) with w > 0) of a point set: its
-    non-dominated points and the hyperplanes of its compact facets, with on
-    indexing the candidates.  The facets are gift-wrapped; the module
-    docstring gives the wrap and why it finds every compact facet."""
+def _compact_hyperplanes(points) -> tuple[list, list, set]:
+    """(candidates, sorted (w, c, on) with w > 0, corners) of a point set:
+    its non-dominated points, the hyperplanes of its compact facets with on
+    indexing the candidates, and the indices of the candidates that are
+    vertices of its polyhedron.  One gift wrap finds facets and vertices;
+    the module docstring gives the wrap, the `newton_diagram` docstring why
+    it finds all of them."""
     pts = sorted(set(points))
     cands = [
         p for p in pts
@@ -212,12 +215,12 @@ def _compact_hyperplanes(points) -> tuple[list, list]:
     ]
     n = len(cands[0])
     if n == 1:
-        return cands, [((1,), cands[0][0], (0,))]
+        return cands, [((1,), cands[0][0], (0,))], {0}
     if not any(cands[0]):
-        return cands, []  # the origin dominates every other point
-    # M = n D H + 1 on the axes without a pure power (module docstring)
+        return cands, [], {0}  # the origin dominates every other point
+    # M = n^2 D H + 1 on the axes without a pure power (module docstring)
     top = max(max(p) for p in cands)
-    far = n * top * (isqrt(((n - 1) * top * top) ** (n - 1)) + 1) + 1
+    far = n * n * top * (isqrt(((n - 1) * top * top) ** (n - 1)) + 1) + 1
     axes = (tuple(far * (i == j) for i in range(n)) for j in range(n))
     pool = cands + [
         e for e in axes if not any(all(a <= b for a, b in zip(q, e)) for q in cands)
@@ -226,12 +229,17 @@ def _compact_hyperplanes(points) -> tuple[list, list]:
     facets = {first[:2]: first[2]}
     todo = [first]
     wrapped = set()
+    corners = set()
     while todo:
         w, c, on = todo.pop()
         if len(on) == n:
-            ridges = combinations(on, n - 1)
+            ridges = list(combinations(on, n - 1))
         else:
             ridges = [tuple(on[i] for i in f) for f in polytope_facets([pool[i] for i in on])]
+        # a vertex of the facet is the one point its ridges through it share
+        corners.update(
+            i for i in on if set(on).intersection(*(r for r in ridges if i in r)) == {i}
+        )
         for ridge in ridges:
             key = frozenset(ridge)
             if key in wrapped or not all(map(any, zip(*(pool[i] for i in ridge)))):
@@ -250,7 +258,8 @@ def _compact_hyperplanes(points) -> tuple[list, list]:
                 facets[found[:2]] = found[2]
                 todo.append(found)
     # the facets through no added point are the candidates' own
-    return cands, sorted((w, c, on) for (w, c), on in facets.items() if on[-1] < len(cands))
+    kept = sorted((w, c, on) for (w, c), on in facets.items() if on[-1] < len(cands))
+    return cands, kept, {i for i in corners if i < len(cands)}
 
 
 def _first_facet(pool) -> tuple:
@@ -309,13 +318,20 @@ def newton_diagram(s: SupportSet) -> NewtonDiagram:
     points the candidates are the origin alone: no compact facet for
     n >= 2, and the facet x >= 0 for n = 1.
 
-    The wrap is complete.  Let S be convenient without the origin (n >= 2),
-    so that P's facets are the compact ones and the x_j >= 0 (shown
-    below).  Stop rule: if a ridge R of a compact facet F lies in x_j = 0,
-    then F, whose normal is > 0, meets x_j = 0 in a proper face that
-    contains R, so in R, and R's two facets are F and x_j >= 0.  A ridge in
-    no coordinate hyperplane lies in no non-compact facet, so both its
-    facets are compact and the wrap step crosses it.  Connectivity: the
+    Facets of a convenient P = conv(S) + orthant.  Every facet normal w is
+    >= 0 and every offset c >= 0, as P lies in the orthant and contains
+    x + orthant for each of its points.  If some w_j = 0, the pure power on
+    axis j gives c = 0, and the facet lies in the proper face P cap {x_i =
+    0} for an i with w_i > 0, so it is that face: x_i >= 0.  Hence the
+    facets of P are the compact ones and the x_i >= 0, and P is {x >= 0 :
+    w . x >= c for every compact facet}.
+
+    The wrap is complete.  Let S be convenient without the origin
+    (n >= 2).  Stop rule: if a ridge R of a compact facet F lies in
+    x_j = 0, then F, whose normal is > 0, meets x_j = 0 in a proper face
+    that contains R, so in R, and R's two facets are F and x_j >= 0.  A
+    ridge in no coordinate hyperplane lies in no non-compact facet, so both
+    its facets are compact and the wrap step crosses it.  Connectivity: the
     origin is not in P, and a ray from it into the orthant enters P (S is
     convenient).  At the entry point some facet w . x >= c with c > 0 is
     tight, a compact one, and no later point of the ray lies on a compact
@@ -327,67 +343,50 @@ def newton_diagram(s: SupportSet) -> NewtonDiagram:
     ridge is shared by two compact facets, so it lies in no coordinate
     hyperplane.  Hence the wrap from one compact facet reaches all of them.
 
-    Bound on M, for S not convenient.  A compact facet (w, c) of S runs
-    through n affinely independent candidates p_0..p_{n-1}, whose edges
-    p_i - p_0 have entries in [-D, D].  Their cofactor vector is a nonzero
-    integer multiple of the primitive w, and each entry is an (n-1)-minor,
-    at most (sqrt(n-1) D)^(n-1) <= H by Hadamard's inequality.  So
-    1 <= w_j <= H and c = w . p_0 <= n D H < M <= w . M e_j: each added
-    point is strictly above (w, c), which stays a compact facet of the
-    enlarged, convenient support with the same points.  Conversely a
-    compact facet of the enlarged support whose points are all in S
-    supports S and spans n - 1 dimensions, so it is a compact facet of S.
+    Bound on M, for S not convenient.  Let P' be the polyhedron of S and
+    the added points M e_j.  A compact facet (w, c) of S runs through n
+    affinely independent candidates p_0..p_{n-1}, whose edges p_i - p_0
+    have entries in [-D, D].  Their cofactor vector is a nonzero integer
+    multiple of the primitive w, and each entry is an (n-1)-minor, at most
+    (sqrt(n-1) D)^(n-1) <= H by Hadamard's inequality.  So 1 <= w_j <= H
+    and c = w . p_0 <= n D H < M <= w . M e_j: each added point is strictly
+    above (w, c), which stays a compact facet of P' with the same points.
+    Conversely a compact facet of P' whose points are all in S supports S
+    and spans n - 1 dimensions, so it is a compact facet of S.  The facets
+    need only M > n D H; the vertices need M > n^2 D H.
 
-    Every facet comes from a projection.  The polyhedron P = conv(S) +
-    orthant is full-dimensional and every facet normal w is >= 0.  Take J
-    = supp w and the projection x -> x_J.  The face of P where w is least
-    is conv(A) + cone(e_i : i not in J), A the support points where w is
-    least, so its dimension is dim aff(A_J) + n - |J|, and A_J is where
-    w_J is least on S_J.  It is a facet exactly when w_J > 0 is the normal
-    of a compact facet of the polyhedron of S_J in R^J.  So the facets of
-    P are the compact facets of the 2^n - 1 projections S_J, lifted by
-    zeros (J = all coordinates gives the diagram's own), each found as
-    above from the non-dominated points of S_J.  A projection containing
-    the origin has the orthant R^J as its polyhedron, with no compact facet
-    but x_j >= 0 for |J| = 1; it is skipped after a scan.  For a convenient
-    support every proper projection contains the origin, so the facets of
-    P are the compact ones and the x_j >= 0, and P is {x >= 0 : w . x >= c
-    for every compact facet}.
-
-    A point of a full-dimensional pointed polyhedron is a vertex exactly
-    when the normals of the facets through it have rank n (Schrijver,
-    Theory of Linear and Integer Programming, 1986, section 8.5), so one
-    `echelon` of those normals decides each candidate.  A facet's vertices
-    are the vertices of P on it, and the diagram vertices are all vertices
-    of P.
+    The vertices of P are the candidates that the wrap marks, in four steps.
+      1. Every vertex v of P is a vertex of P'.  P is full-dimensional and
+         pointed, so n facets with independent normals run through v.  Each
+         is spanned by n - 1 independent edge or unit vectors, so its
+         primitive normal has entries in [0, H] as above.  Their sum w is
+         > 0, v is the only point of P where w is least, and w . v <=
+         n^2 D H < M <= w . M e_j, so v is also the only such point of P'.
+      2. P' is convenient, so each of its vertices lies on a compact facet
+         of P': the ray from the origin through a vertex enters P' at the
+         vertex (an earlier entry point u leaves v in u + orthant), and the
+         entry point lies on a compact facet (connectivity, above).
+      3. A vertex of a polytope is the only point common to the facets
+         through it.  A wrapped facet is the polytope of its points, and its
+         facets are the ridges the wrap computes, so the points marked on
+         it are its vertices, which are vertices of P'.  By 2 the marks
+         over every wrapped facet, also one through an added point, are
+         all the vertices of P'.
+      4. A candidate that is a vertex of P' is a vertex of P, because P is
+         inside P'.  With 1, the marked candidates are the vertices of P.
+    A facet's vertices are the vertices of P on it.  For n = 1 and with the
+    origin in S the one candidate is the one vertex.
     """
     check_dimension(s.n)
     if "diagram" in s._cache:
         return s._cache["diagram"]
-    n = s.n
-    cands, found = _compact_hyperplanes(s.points)
-    through = [[] for _ in cands]  # normals of the facets of P through each
-    for J in all_subsets(n)[1:]:
-        cols = sorted(J)
-        proj = [tuple(p[j] for j in cols) for p in cands]
-        if len(cols) > 1 and (0,) * len(cols) in proj:
-            continue
-        sub, hyperplanes = (cands, found) if len(cols) == n else _compact_hyperplanes(proj)
-        for w, _, on in hyperplanes:
-            lifted = [0] * n
-            for j, wj in zip(cols, w):
-                lifted[j] = wj
-            on_pts = {sub[i] for i in on}
-            for i, q in enumerate(proj):
-                if q in on_pts:
-                    through[i].append(lifted)
-    vertex = [len(ws) >= n and len(echelon(ws)[1]) == n for ws in through]
+    cands, found, corners = _compact_hyperplanes(s.points)
     facets = tuple(
-        Facet(tuple(cands[i] for i in on if vertex[i]), w, Fraction(c))
+        Facet(tuple(cands[i] for i in on if i in corners), w, Fraction(c))
         for w, c, on in found
     )
-    vertices = tuple(p for p, v in zip(cands, vertex) if v)
-    s._cache["diagram"] = NewtonDiagram(n, s, facets, vertices)
+    vertices = tuple(cands[i] for i in sorted(corners))
+    s._cache["diagram"] = NewtonDiagram(s.n, s, facets, vertices)
     return s._cache["diagram"]
 
 

@@ -19,15 +19,14 @@ from math import prod
 from hypothesis import given, settings, strategies as st
 
 from newton_mu.geometry import Simplex, _barycentric_rows, supporting_hyperplanes
-from newton_mu.linalg import (
-    back_substitute,
+from linalg_reference import (
     determinant,
-    echelon,
     nullspace_vector,
     primitive_integer_vector,
     rank,
     solve,
 )
+from newton_mu.linalg import back_substitute, echelon
 
 # ---------------------------------------------------------------------------
 # references

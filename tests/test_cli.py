@@ -239,9 +239,10 @@ def test_requests_build_each_support_diagram_once(monkeypatch):
                 "--vertex", "0,2,1,1",
             ],
             4,
-            3,  # FamilyStep.f0 is a new support on every access
+            2,  # f1 and FamilyStep.f0, which is built once per step
         ),
-        (["decompose", "--poly", "x^3 + y^2", "--inner-poly", "x + y"], 5, 4),
+        # outer, inner and the one intermediate removal shell
+        (["decompose", "--poly", "x^3 + y^2", "--inner-poly", "x + y"], 5, 3),
     ]
     for argv, want_calls, want_builds in cases:
         calls.clear()

@@ -25,7 +25,8 @@ from newton_mu.geometry import (
     pull_triangulate,
     supporting_hyperplanes,
 )
-from newton_mu.linalg import back_substitute, determinant, echelon, rank, solve
+from linalg_reference import determinant, rank, solve
+from newton_mu.linalg import back_substitute, echelon
 
 # ---------------------------------------------------------------------------
 # references

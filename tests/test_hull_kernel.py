@@ -6,12 +6,11 @@ with a strictly positive normal that leave every point on one side are
 the compact facets, and the diagram vertices are the support points that
 the exact LP does not place in the hull of the others plus the orthant.
 The kernel drops dominated points, gift-wraps the compact facets and
-decides vertices by the rank of the facet normals through them, with no
-LP; its output must be identical.  The LP (`ref_linear_feasible`,
-`ref_in_convex_hull`, `ref_extreme_points`) is the package's earlier
-phase-1 simplex, kept here verbatim but for the names, and
-`ref_compact_hyperplanes` is the exhaustive n-subset enumeration that the
-wrap replaced.
+reads the vertices off the wrapped facets, with no LP; its output must be
+identical.  The LP (`ref_linear_feasible`, `ref_in_convex_hull`,
+`ref_extreme_points`) is the package's earlier phase-1 simplex, kept here
+verbatim but for the names, and `ref_compact_hyperplanes` is the
+exhaustive n-subset enumeration that the wrap replaced.
 """
 
 import json
@@ -28,7 +27,7 @@ from newton_mu.geometry import (
     polytope_facets,
     supporting_hyperplanes,
 )
-from newton_mu.linalg import nullspace_vector, primitive_integer_vector, rank
+from linalg_reference import nullspace_vector, primitive_integer_vector, rank
 from newton_mu.parsing import support_from_json
 from newton_mu.polyhedra import (
     Facet,
@@ -335,26 +334,52 @@ def test_wrap_matches_exhaustive_on_supports_and_their_projections():
         for size in range(1, n + 1):
             for cols in combinations(range(n), size):
                 proj = [tuple(p[j] for j in cols) for p in pts]
-                cands, found = _compact_hyperplanes(proj)
+                cands, found, corners = _compact_hyperplanes(proj)
                 assert (cands, found) == ref_compact_hyperplanes(proj), proj
-                # no added far point M e_j reaches a candidate or a facet
+                # no added far point M e_j reaches a candidate, a facet or
+                # a vertex
                 assert set(cands) <= set(proj)
                 assert all(on[-1] < len(cands) for _, _, on in found)
-        d = newton_diagram(support(pts))
-        assert set(d.vertices) <= set(pts)
-        assert all(set(f.vertices) <= set(pts) for f in d.facets)
+                assert corners <= set(range(len(cands)))
+        s = support(pts)
+        assert repr(newton_diagram(s)) == repr(reference_diagram(s)), pts
     assert inconvenient > 250  # 284 of the 400
+
+
+def skewed_supports():
+    """120 seeded supports, n = 2..5 in turn, each point one large
+    coordinate over small ones, so that vertex normal cones are thin; the
+    ones that miss a pure power on some axis."""
+    rng = random.Random(20261020)
+    for k in range(120):
+        n = 2 + k % 4
+        pts = set()
+        for _ in range(rng.randint(2, 7)):
+            p = [rng.randint(0, 2) for _ in range(n)]
+            p[rng.randrange(n)] = rng.randint(8, 40)
+            pts.add(tuple(p))
+        s = support(sorted(pts))
+        if not is_convenient(s)[0]:
+            yield s
+
+
+def test_vertices_match_reference_on_skewed_supports():
+    checked = 0
+    for s in skewed_supports():
+        assert repr(newton_diagram(s)) == repr(reference_diagram(s)), s.points
+        checked += 1
+    assert checked > 100
 
 
 def test_wrap_origin_cases():
     # n = 1: the origin keeps its facet x >= 0
-    assert _compact_hyperplanes([(0,), (2,)]) == ([(0,)], [((1,), 0, (0,))])
+    assert _compact_hyperplanes([(0,), (2,)]) == ([(0,)], [((1,), 0, (0,))], {0})
     # n >= 2: the origin alone has no compact facet
     for n in (2, 3, 4):
         origin = (0,) * n
         others = [(1,) * n, (2,) + (0,) * (n - 1)]
-        assert _compact_hyperplanes([origin] + others) == ([origin], [])
-        assert _compact_hyperplanes([origin]) == ([origin], [])
+        assert _compact_hyperplanes([origin] + others) == ([origin], [], {0})
+        assert _compact_hyperplanes([origin]) == ([origin], [], {0})
 
 
 def test_wrap_matches_exhaustive_on_the_64_point_support():
@@ -362,12 +387,12 @@ def test_wrap_matches_exhaustive_on_the_64_point_support():
     # exhaustive enumeration runs C(38, 3) = 8,436 eliminations here
     path = Path(__file__).parent / "data" / "support_n3_64.json"
     s = support_from_json(json.loads(path.read_text()))
-    cands, found = _compact_hyperplanes(s.points)
-    assert (len(s.points), len(cands), len(found)) == (64, 38, 24)
+    cands, found, corners = _compact_hyperplanes(s.points)
+    assert (len(s.points), len(cands), len(found), len(corners)) == (64, 38, 24, 20)
     assert (cands, found) == ref_compact_hyperplanes(s.points)
 
 
-def test_wrap_eliminations_follow_the_facets(monkeypatch):
+def count_eliminations(monkeypatch) -> list:
     import newton_mu.geometry as geometry
     import newton_mu.polyhedra as polyhedra
 
@@ -375,9 +400,31 @@ def test_wrap_eliminations_follow_the_facets(monkeypatch):
     real = geometry.echelon
     for module in (geometry, polyhedra):
         monkeypatch.setattr(module, "echelon", lambda m: calls.append(1) or real(m))
+    return calls
+
+
+def test_wrap_eliminations_follow_the_facets(monkeypatch):
+    calls = count_eliminations(monkeypatch)
     path = Path(__file__).parent / "data" / "support_n3_64.json"
     d = newton_diagram(support_from_json(json.loads(path.read_text())))
     assert len(d.facets) == 24
-    # 105 today (ridges, non-simplicial facets, vertex ranks), against the
-    # 8,436 n-subsets of the 38 candidates
+    # 85 today (ridges and non-simplicial facets), against the 8,436
+    # n-subsets of the 38 candidates
     assert len(calls) < 300
+
+
+def test_vertices_cost_no_elimination_beyond_the_wrap(monkeypatch):
+    calls = count_eliminations(monkeypatch)
+    # no pure power on axes 1 and 5; 2 compact facets, 6 vertices
+    s = support([
+        (0, 0, 0, 2, 0), (0, 0, 5, 0, 0), (0, 4, 0, 0, 0), (1, 0, 2, 0, 2),
+        (1, 4, 1, 0, 1), (2, 0, 3, 0, 1), (2, 2, 1, 0, 1), (2, 2, 4, 0, 2),
+        (2, 3, 0, 4, 2), (2, 3, 1, 0, 0), (2, 4, 4, 2, 1), (3, 0, 4, 3, 2),
+        (3, 2, 4, 2, 4), (3, 4, 0, 3, 0), (4, 4, 3, 0, 1),
+    ])
+    d = newton_diagram(s)
+    # 9 today, all in the one wrap; 57 when the vertices took a wrap of
+    # each coordinate projection and a rank test per candidate
+    assert len(calls) < 20
+    assert (len(d.facets), len(d.vertices)) == (2, 6)
+    assert d == reference_diagram(s)

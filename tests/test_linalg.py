@@ -1,4 +1,5 @@
-"""Exact linear algebra, and the stability of the package's public names.
+"""The exact linear-algebra references of `linalg_reference`, and the
+stability of the package's public names.
 
 The expected values are frozen from direct evaluation; every one of them
 is small enough to check by hand.
@@ -9,7 +10,7 @@ from fractions import Fraction
 import pytest
 
 import newton_mu
-from newton_mu.linalg import (
+from linalg_reference import (
     determinant,
     nullspace_vector,
     primitive_integer_vector,

@@ -1,9 +1,11 @@
 """Series text parsing and JSON (de)serialization."""
 
+import json
 from fractions import Fraction
 
 import pytest
 
+from newton_mu.cli import run
 from newton_mu.errors import ParseError
 from newton_mu.parsing import (
     coord_json,
@@ -116,3 +118,16 @@ def test_support_json_validation():
     # JSON true/false are Python bools, which are ints: still no exponents
     with pytest.raises(ParseError, match="bad monomial entry"):
         support_from_json({"monomials": [[True, 0], [0, 2]]})
+    # "variables" must name each coordinate once
+    with pytest.raises(ParseError, match="name the 2 coordinates once each"):
+        support_from_json({"variables": ["x"], "monomials": [[1, 2], [3, 0]]})
+    with pytest.raises(ParseError, match="name the 2 coordinates once each"):
+        support_from_json({"variables": ["x", "x"], "monomials": [[1, 2], [3, 0]]})
+
+
+def test_support_file_with_bad_variables_is_a_parse_error(tmp_path):
+    path = tmp_path / "supp.json"
+    path.write_text(json.dumps({"variables": ["x"], "monomials": [[1, 2], [3, 0]]}))
+    code, out = run(["diagram", "--support", str(path)])
+    assert code == 1
+    assert out["error"]["type"] == "parse"
