@@ -86,7 +86,9 @@ def check_axis_simplex_inside(x: NewtonRegion, avec) -> None:
     Exact for regions built from a support (hyperplane test against every
     support point).  For explicit regions only the simplex vertices are
     screened, which is necessary but not sufficient; building the region
-    from its support enables the exact check.
+    from its support enables the exact check.  The screen reads the faces
+    X^{i} on each axis from the region's face table (`_faces`) after
+    checking quasi-convenience.
     """
     if x.source is not None:
         if not simplex_below_diagram(x.source, avec):
@@ -97,9 +99,17 @@ def check_axis_simplex_inside(x: NewtonRegion, avec) -> None:
     ok, reason = is_quasi_convenient(x)
     if not ok:
         raise ContainmentError(f"explicit region is not quasi-convenient: {reason}")
-    for i, ai in enumerate(avec):
-        vertex = tuple(ai if j == i else Fraction(0) for j in range(x.n))
-        if not x.contains_point(vertex):
+    faces = x._faces()
+    for i, ai in zip(range(x.n), avec):
+        # quasi-convenience makes the maximal faces on axis i segments
+        # [0, b e_i] and puts every other face inside one of them, so X
+        # meets the axis in [0, top] e_i, top the largest i-th coordinate
+        # among these faces; the longest segment is a face of a maximal
+        # cell, nondegenerate by purity for I = {1..n}, so this agrees with
+        # `contains_point` on the cells
+        top = max(v[i] for face in faces[frozenset((i,))] for v in face)
+        if not 0 <= ai <= top:
+            vertex = tuple(ai if j == i else Fraction(0) for j in range(x.n))
             raise ContainmentError(
                 f"axis-simplex vertex {tuple(str(c) for c in vertex)} lies outside the region"
             )

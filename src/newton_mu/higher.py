@@ -31,15 +31,12 @@ from .errors import (
     FormulaMismatchError,
 )
 from .geometry import Simplex
-from .newton import _factored_preamble
+from .newton import _alternating_terms, _factored_preamble
 from .polyhedra import (
     NewtonRegion,
     SupportSet,
-    all_subsets,
     axis_simplex_region,
-    check_dimension,
     simplex_below_diagram,
-    validate_region,
 )
 
 
@@ -92,38 +89,14 @@ class RNewtonReport:
 def r_newton_number(x: NewtonRegion, dt: DegreeTuple) -> RNewtonReport:
     """Weighted alternating sum over subsets of size >= r, plus the origin
     correction epsilon * (-1)^(n-r+1)."""
-    check_dimension(x.n)
-    if dt.r > x.n:
-        raise DomainError(f"order r={dt.r} exceeds ambient dimension {x.n}")
-    validate_region(x)
-    vols = x.subset_volumes()
-    terms = []
-    total = Fraction(0)
-    for I in all_subsets(x.n):
-        if len(I) < dt.r:
-            continue
-        sign = (-1) ** (x.n - len(I))
-        weight = f_coeff(len(I), dt.r, dt.d)
-        term = RNewtonTerm(I, sign, weight, vols[I])
-        terms.append(term)
-        total += term.contribution
+    terms = tuple(
+        RNewtonTerm(I, sign, f_coeff(len(I), dt.r, dt.d), vol)
+        for I, sign, vol in _alternating_terms(x, dt.r)
+    )
     epsilon = 1 if x.contains_origin() else 0
     epsilon_term = Fraction(epsilon * (-1) ** (x.n - dt.r + 1))
-    total += epsilon_term
-    return RNewtonReport(x.n, dt.r, dt.d, tuple(terms), epsilon, epsilon_term, total)
-
-
-def _restricted_sum(x: NewtonRegion, dt: DegreeTuple, I: frozenset[int]) -> Fraction:
-    """Weighted sum restricted to supersets of I (valid when every piece of
-    x has minimal full-supporting subset I, which kills all other terms and
-    the origin correction)."""
-    vols = x.subset_volumes()
-    total = Fraction(0)
-    for J in all_subsets(x.n):
-        if len(J) < dt.r or not I <= J:
-            continue
-        total += (-1) ** (x.n - len(J)) * f_coeff(len(J), dt.r, dt.d) * vols[J]
-    return total
+    total = sum((t.contribution for t in terms), Fraction(0)) + epsilon_term
+    return RNewtonReport(x.n, dt.r, dt.d, terms, epsilon, epsilon_term, total)
 
 
 @dataclass(frozen=True)
@@ -152,12 +125,15 @@ def r_newton_factored(z: NewtonRegion | Simplex, dt: DegreeTuple) -> RFactoredRe
     r, d = dt.r, dt.d
     if r > z.n:
         raise DomainError(f"order r={r} exceeds ambient dimension {z.n}")
-    region, direct, I, face_volume, prime = _factored_preamble(
-        z, lambda region: r_newton_number(region, dt).total
+    region, report, I, face_volume, prime = _factored_preamble(
+        z, lambda region: r_newton_number(region, dt)
     )
     n = region.n
+    direct = report.total
 
-    restricted = _restricted_sum(region, dt, I)
+    # every piece has minimal full-supporting subset I, which kills the
+    # terms of the subsets not containing I and the origin correction
+    restricted = sum((t.contribution for t in report.terms if I <= t.subset), Fraction(0))
     if restricted != direct:
         raise FormulaMismatchError(
             "restricted and direct r-th Newton numbers disagree",

@@ -54,19 +54,23 @@ class NewtonReport:
     total: Fraction
 
 
-def newton_number(x: NewtonRegion) -> NewtonReport:
-    """Alternating-sum Newton number with one term per coordinate subset."""
+def _alternating_terms(x: NewtonRegion, r: int = 0) -> list[tuple]:
+    """(I, (-1)^(n-|I|), |I|! V(X^I)) for every coordinate subset I with
+    |I| >= r, in `all_subsets` order: the one alternating sum behind the
+    plain and the r-th Newton numbers.  Checks the dimension guardrail,
+    then r <= n, then screens the region."""
     check_dimension(x.n)
+    if r > x.n:
+        raise DomainError(f"order r={r} exceeds ambient dimension {x.n}")
     validate_region(x)
     vols = x.subset_volumes()
-    terms = []
-    total = Fraction(0)
-    for I in all_subsets(x.n):
-        sign = (-1) ** (x.n - len(I))
-        term = NewtonTerm(I, sign, vols[I])
-        terms.append(term)
-        total += term.contribution
-    return NewtonReport(x.n, tuple(terms), total)
+    return [(I, (-1) ** (x.n - len(I)), vols[I]) for I in all_subsets(x.n) if len(I) >= r]
+
+
+def newton_number(x: NewtonRegion) -> NewtonReport:
+    """Alternating-sum Newton number with one term per coordinate subset."""
+    terms = tuple(NewtonTerm(*term) for term in _alternating_terms(x))
+    return NewtonReport(x.n, terms, sum((t.contribution for t in terms), Fraction(0)))
 
 
 def full_supporting_subsets(s: Simplex) -> list[frozenset[int]]:
@@ -112,7 +116,7 @@ def _factored_preamble(z: NewtonRegion | Simplex, direct):
     Coerces z to a region that must avoid the origin and consist of
     nondegenerate top-dimensional simplices, evaluates direct(region), and
     requires one minimal full-supporting subset I and one base face in R^I
-    for every piece.  Returns (region, direct value, I, |I|! V(base face),
+    for every piece.  Returns (region, direct report, I, |I|! V(base face),
     projected region), where the projected region drops the I coordinates
     of every piece and is None when |I| = n or two pieces or vertices
     collapse under the projection.
@@ -124,7 +128,7 @@ def _factored_preamble(z: NewtonRegion | Simplex, direct):
     for s in region.simplices:
         if s.dim != region.n or s.is_degenerate:
             raise DomainError("factored route needs nondegenerate top-dimensional simplices")
-    value = direct(region)
+    report = direct(region)
 
     mins = {minimal_full_supporting(s) for s in region.simplices}
     if len(mins) != 1:
@@ -133,7 +137,7 @@ def _factored_preamble(z: NewtonRegion | Simplex, direct):
             + ", ".join(str(sorted(i + 1 for i in m)) for m in sorted(mins, key=sorted))
         )
     I = next(iter(mins))
-    faces = {s.face_in_subspace(I) for s in region.simplices}
+    faces = region._faces()[I]
     if len(faces) != 1:
         raise InvalidRegionError("pieces do not share one base face in the subspace")
     face_volume = Simplex(next(iter(faces))).normalized_volume()
@@ -146,7 +150,7 @@ def _factored_preamble(z: NewtonRegion | Simplex, direct):
             len(p.vertices) == m + 1 and not p.is_degenerate for p in projected
         ):
             prime = NewtonRegion(m, tuple(projected))
-    return region, value, I, face_volume, prime
+    return region, report, I, face_volume, prime
 
 
 def newton_number_factored(z: NewtonRegion | Simplex) -> FactoredResult:
@@ -158,9 +162,8 @@ def newton_number_factored(z: NewtonRegion | Simplex) -> FactoredResult:
     a hard error.  Inputs whose projections collapse fall back to the
     direct route (reported in the result).
     """
-    region, direct, I, face_volume, prime = _factored_preamble(
-        z, lambda region: newton_number(region).total
-    )
+    region, report, I, face_volume, prime = _factored_preamble(z, newton_number)
+    direct = report.total
     if len(I) == region.n:
         total, projected_total = face_volume, None
     elif prime is None:

@@ -266,6 +266,8 @@ def support_to_json(s: SupportSet) -> dict:
 def support_from_json(data) -> SupportSet:
     if not isinstance(data, dict):
         raise ParseError("support JSON must be an object", 0)
+    if "schema" in data and data["schema"] != SCHEMA:
+        raise ParseError(f'support JSON "schema" is {data["schema"]!r}, expected {SCHEMA!r}', 0)
     monomials = data.get("monomials")
     if not isinstance(monomials, list) or not monomials:
         raise ParseError('support JSON needs a nonempty "monomials" list', 0)
@@ -289,6 +291,8 @@ def support_from_json(data) -> SupportSet:
         isinstance(v, str) for v in variables
     ):
         raise ParseError('support JSON "variables" must be a list of names', 0)
+    elif "" in variables:
+        raise ParseError('support JSON "variables" has an empty name', 0)
     elif len(set(variables)) != len(variables) or len(variables) != len(points[0]):
         raise ParseError(
             f'support JSON "variables" must name the {len(points[0])} coordinates once each', 0

@@ -395,16 +395,20 @@ class NewtonRegion:
     """Union of simplices in the orthant; the working representation of
     regions under Newton diagrams and of the explicit polyhedra X, Y.
 
-    All per-coordinate-subset volumes are read off the simplices' faces:
-    inside the orthant a simplex meets R^I exactly in the face spanned by
-    its vertices lying there, and identical faces coming from several
-    simplices are counted once.
+    Every question about the pieces X^I of X in the coordinate subspaces
+    R^I reads one table, `_faces()`, built once and kept in `_cache`: it
+    maps each coordinate subset I to the distinct nonempty faces X^I of
+    the cells.  Inside the orthant a simplex meets R^I exactly in the face
+    spanned by its vertices lying there, so X^I is the union of these
+    faces.  Subset volumes sum the faces with |I| + 1 vertices (identical
+    faces from several cells count once), quasi-convenience tests their
+    shape, and an explicit region's restriction reindexes them.
     """
 
     n: int
     simplices: tuple[Simplex, ...]
     source: SupportSet | None = None
-    _cache: dict = field(default_factory=dict, compare=False, repr=False, hash=False)
+    _cache: dict = field(default_factory=dict, init=False, compare=False, repr=False, hash=False)
 
     def __post_init__(self):
         sims = tuple(sorted(self.simplices, key=lambda s: s.vertices))
@@ -425,32 +429,33 @@ class NewtonRegion:
     def contains_point(self, point: Vec) -> bool:
         return any(s.contains_point(point) for s in self.simplices)
 
+    def _faces(self) -> dict[frozenset[int], frozenset[tuple[Vec, ...]]]:
+        """Map I -> the distinct nonempty faces X^I of the cells, for every
+        coordinate subset I in `all_subsets` order; each face is a cell's
+        vertices lying in R^I, in the cell's order."""
+        if "faces" not in self._cache:
+            cells = [[(v, coordinate_support(v)) for v in s.vertices] for s in self.simplices]
+            self._cache["faces"] = {
+                I: frozenset(
+                    face
+                    for face in (tuple(v for v, sp in cell if sp <= I) for cell in cells)
+                    if face
+                )
+                for I in all_subsets(self.n)
+            }
+        return self._cache["faces"]
+
     def subset_volumes(self) -> dict[frozenset[int], Fraction]:
         """Map I -> |I|! * V_|I|(X^I), for every coordinate subset I."""
-        if "vols" in self._cache:
-            return self._cache["vols"]
-        n = self.n
-        faces: dict[frozenset[int], set[tuple[Vec, ...]]] = {
-            I: set() for I in all_subsets(n)
-        }
-        supports = {}
-        for s in self.simplices:
-            vert_supp = [(v, coordinate_support(v)) for v in s.vertices]
-            supports[s] = vert_supp
-        for I in all_subsets(n):
-            want = len(I) + 1
-            for s in self.simplices:
-                face = tuple(v for v, sp in supports[s] if sp <= I)
-                if len(face) == want:
-                    faces[I].add(face)
-        vols: dict[frozenset[int], Fraction] = {}
-        for I in all_subsets(n):
-            total = Fraction(0)
-            for face in faces[I]:
-                total += Simplex(face).normalized_volume()
-            vols[I] = total
-        self._cache["vols"] = vols
-        return vols
+        if "vols" not in self._cache:
+            self._cache["vols"] = {
+                I: sum(
+                    (Simplex(f).normalized_volume() for f in faces if len(f) == len(I) + 1),
+                    Fraction(0),
+                )
+                for I, faces in self._faces().items()
+            }
+        return self._cache["vols"]
 
 
 def region_from_simplices(simplices, source: SupportSet | None = None) -> NewtonRegion:
@@ -543,11 +548,15 @@ def restrict(x: NewtonRegion | SupportSet, I) -> NewtonRegion | SupportSet | Non
 
     For supports: keep the points supported inside I (None when nothing
     survives).  For regions built from a support: recompute gamma_minus of
-    the restricted support.  For explicit regions: keep each simplex's face
-    in R^I (all dimensions, so origin membership survives).
+    the restricted support.  For explicit regions: keep the faces X^I of
+    the cells (all dimensions, so origin membership survives).  Indices
+    outside 0..n-1 raise DomainError.
     """
     members = frozenset(I)
     order = sorted(members)
+    outside = [i for i in order if i not in range(x.n)]
+    if outside:
+        raise DomainError(f"coordinate indices {outside} lie outside 0..{x.n - 1}")
     if isinstance(x, SupportSet):
         keep = [p for p in x.points if coordinate_support(p) <= members]
         if not keep:
@@ -566,11 +575,7 @@ def restrict(x: NewtonRegion | SupportSet, I) -> NewtonRegion | SupportSet | Non
         if sub is None:
             raise DomainError("restricted support is empty")
         return gamma_minus(sub)
-    faces = set()
-    for s in x.simplices:
-        face = s.face_in_subspace(members)
-        if face:
-            faces.add(tuple(tuple(v[i] for i in order) for v in face))
+    faces = {tuple(tuple(v[i] for i in order) for v in f) for f in x._faces()[members]}
     if not faces:
         raise DomainError("region does not meet the requested coordinate subspace")
     return NewtonRegion(len(order), tuple(Simplex(f) for f in sorted(faces)))
@@ -621,16 +626,9 @@ def is_quasi_convenient(x: NewtonRegion) -> tuple[bool, str]:
             if c != 0 and c < 1:
                 return False, f"vertex {v} has a nonzero coordinate below 1"
     origin = tuple(0 for _ in range(x.n))
-    for I in all_subsets(x.n):
+    for I, faces in x._faces().items():
         if not I:
-            continue
-        faces = set()
-        for s in x.simplices:
-            face = s.face_in_subspace(I)
-            if face:
-                faces.add(face)
-        if not faces:
-            return False, f"region misses the coordinate subspace {sorted(I)}"
+            continue  # every other X^I holds the origin, so it is nonempty
         face_sets = {f: set(f) for f in faces}
         maximal = [
             f

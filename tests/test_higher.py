@@ -142,3 +142,19 @@ def test_sciv_bound_stabilizes():
     assert cert.nu_value == 5
     assert cert.bound == 5
     assert cert.verdict is True
+
+
+def test_factored_route_screens_the_region_once(monkeypatch):
+    import newton_mu.newton as newton_module
+
+    screened = []
+    screen = newton_module.validate_region
+    monkeypatch.setattr(
+        newton_module, "validate_region", lambda x: (screened.append(x), screen(x))[1]
+    )
+    rng = random.Random(7)
+    region = fan_union(rng, 4, 2)
+    for d in ((2,), (1, 2), (2, 1, 1)):
+        screened.clear()
+        r_newton_factored(region, degree_tuple(d))
+        assert sum(x is region for x in screened) == 1

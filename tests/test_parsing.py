@@ -125,6 +125,32 @@ def test_support_json_validation():
         support_from_json({"variables": ["x", "x"], "monomials": [[1, 2], [3, 0]]})
 
 
+def test_support_json_schema_and_empty_names():
+    monomials = [[1, 0], [0, 2]]
+    assert support_from_json({"monomials": monomials}).variables == ("x", "y")
+    with pytest.raises(ParseError, match="expected 'newton-mu/1'"):
+        support_from_json({"schema": "newton-mu/7", "monomials": monomials})
+    with pytest.raises(ParseError, match="expected 'newton-mu/1'"):
+        support_from_json({"schema": None, "monomials": monomials})
+    with pytest.raises(ParseError, match="empty name"):
+        support_from_json({"variables": ["", "y"], "monomials": monomials})
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        {"schema": "newton-mu/7", "variables": ["x", "y"], "monomials": [[1, 0], [0, 2]]},
+        {"variables": ["", "y"], "monomials": [[1, 0], [0, 2]]},
+    ],
+)
+def test_support_file_with_bad_schema_or_name_is_a_parse_error(tmp_path, data):
+    path = tmp_path / "supp.json"
+    path.write_text(json.dumps(data))
+    code, out = run(["diagram", "--support", str(path)])
+    assert code == 1
+    assert out["error"]["type"] == "parse"
+
+
 def test_support_file_with_bad_variables_is_a_parse_error(tmp_path):
     path = tmp_path / "supp.json"
     path.write_text(json.dumps({"variables": ["x"], "monomials": [[1, 2], [3, 0]]}))

@@ -1,5 +1,6 @@
 """Support sets, Newton diagrams, and regions under them."""
 
+import dataclasses
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -13,6 +14,7 @@ from newton_mu.errors import (
     NotConvenientError,
 )
 from newton_mu.geometry import Simplex
+from newton_mu.newton import newton_number
 from newton_mu.polyhedra import (
     Facet,
     all_subsets,
@@ -191,6 +193,23 @@ def test_restrict_support_and_region():
     line = restrict(region, [1])
     assert line.n == 1
     assert line.subset_volumes()[frozenset({0})] == 2
+
+
+def test_restrict_rejects_indices_outside_the_coordinates():
+    region = region_from_simplices([((0, 0), (3, 0), (0, 2))])
+    for x, I in [(region, {5}), (region, {-1}), (support([(3, 0), (0, 2)]), {0, 5})]:
+        with pytest.raises(DomainError, match="outside 0..1"):
+            restrict(x, I)
+
+
+def test_replaced_region_gets_its_own_cache():
+    # the caches are not constructor fields, so a replaced region starts
+    # empty instead of reading the volumes of the region it came from
+    region = region_from_simplices([((0, 0), (3, 0), (0, 2))])
+    assert newton_number(region).total == 2
+    wider = dataclasses.replace(region, simplices=(Simplex(((0, 0), (5, 0), (0, 2))),))
+    assert wider._cache is not region._cache
+    assert newton_number(wider).total == 4
 
 
 def test_restrict_to_empty_subset():
