@@ -80,6 +80,14 @@ def product_bound(a) -> Fraction:
     return out
 
 
+def _require_below_diagram(s: SupportSet, avec) -> None:
+    """Containment of |O, a_1 e_1, ..., a_n e_n| under the diagram of s."""
+    if not simplex_below_diagram(s, avec):
+        raise ContainmentError(
+            "the axis simplex pokes above the Newton diagram; choose smaller intercepts"
+        )
+
+
 def check_axis_simplex_inside(x: NewtonRegion, avec) -> None:
     """Containment precondition for |O, a_1 e_1, ..., a_n e_n| inside x.
 
@@ -91,10 +99,7 @@ def check_axis_simplex_inside(x: NewtonRegion, avec) -> None:
     checking quasi-convenience.
     """
     if x.source is not None:
-        if not simplex_below_diagram(x.source, avec):
-            raise ContainmentError(
-                "the axis simplex pokes above the Newton diagram; choose smaller intercepts"
-            )
+        _require_below_diagram(x.source, avec)
         return
     ok, reason = is_quasi_convenient(x)
     if not ok:
@@ -135,12 +140,14 @@ def stabilized_region(
 ) -> tuple[NewtonRegion, Fraction, int | None]:
     """Region under the diagram, stabilized when the support is not convenient.
 
-    Non-convenient supports get pure powers m*e_i added on every axis; the
-    tracked value (Newton number by default) is nondecreasing and bounded,
-    so it settles.  m starts above every coordinate sum (and above floor_m),
-    doubles until the value repeats, and gives up after a fixed number of
-    doublings.  Returns (region, value, m) with m = None when no
-    modification was needed.
+    Non-convenient supports get pure powers m*e_i added on every axis.  m
+    starts above every coordinate sum (and above floor_m) and doubles until
+    the tracked value (Newton number by default) repeats, giving up after a
+    fixed number of doublings.  This stop rule is a first-repeat heuristic:
+    a repeat is not shown to be final, nor the value to settle (for
+    x^2 y + y^3 z + z^2 and d = (1, 2) the r-th Newton number keeps growing,
+    while the Newton number settles at 7).  Returns (region, value, m) with
+    m = None when no modification was needed.
     """
     if value is None:
         value = lambda region: newton_number(region).total
@@ -178,10 +185,7 @@ def milnor_lower_bound(s: SupportSet, a, oracle_mu: int | None = None) -> BoundC
     computed Milnor number upgrades the first link from cited to verified.
     """
     avec = _check_intercepts(a, s.n)
-    if not simplex_below_diagram(s, avec):
-        raise ContainmentError(
-            "the axis simplex pokes above the Newton diagram; choose smaller intercepts"
-        )
+    _require_below_diagram(s, avec)
     floor = 1 + math.ceil(max(avec))
     region, nu_g, m_used = stabilized_region(s, floor_m=floor)
     bound = product_bound(avec)

@@ -8,19 +8,25 @@ simplifications used throughout:
   * a simplex meets a coordinate subspace R^I exactly in the face spanned
     by its vertices lying in R^I.
 
+The kernels eliminate in integers only.  `_grid` is the one place where
+denominators are cleared: it scales a point set by the lcm L of its
+denominators (L = 1, unchanged, for integer points).  Scaling by L
+multiplies every k-minor of the edges by L^k and keeps every pivot
+column, rank and hyperplane direction.
+
 Every point-set quantity comes from one fraction-free elimination of the
-edge vectors p - p0 (`_frame`): the affine dimension is its pivot count,
-the chart of the affine hull keeps the pivot coordinates, and the volume
-of a simplex in an axis-parallel coordinate subspace is the last pivot, up
-to sign, because that pivot is the minor on all pivot columns.  Integer
-points stay in integer arithmetic.  No Gram determinants.
+edge vectors p - p0 on the grid (`_frame`): the affine dimension is its
+pivot count, the chart of the affine hull keeps the pivot coordinates, and
+the volume of a simplex in an axis-parallel coordinate subspace is the
+last pivot over L^k, up to sign, because that pivot is the minor on all k
+pivot columns.  No Gram determinants.
 
 Every hyperplane normal is the cofactor vector of one elimination
 (`_normal`).  `supporting_hyperplanes` enumerates the facets of small
 point sets, one elimination per d-subset: simplices, facets being
 triangulated, and the facets of one facet of a Newton diagram, whose
 compact facets `polyhedra` gift-wraps.  Simplex membership has one
-answer, the barycentric rows of the simplex's chart (`_barycentric_rows`).
+answer, the integer barycentric rows of its chart (`_barycentric_rows`).
 """
 
 from __future__ import annotations
@@ -96,12 +102,13 @@ class Simplex:
         A degenerate simplex has volume 0.  Otherwise the coordinates that
         are nonzero somewhere (the live ones) must number exactly dim: with
         more, the simplex spans no axis-parallel coordinate flat and its
-        volume is out of scope.  The value is |last pivot| of the frame.
+        volume is out of scope.  The value is |last pivot| / L^dim of the
+        frame on the grid of scale L.
         """
         k = self.dim
         if k == 0:
             return Fraction(1)
-        rows, pivots, _ = _frame(self.vertices)
+        rows, pivots, scale = _frame(self.vertices)
         if len(pivots) < k:
             return Fraction(0)
         # the edges vanish off the live coordinates, so the k pivots lie
@@ -112,7 +119,7 @@ class Simplex:
             raise InvalidRegionError(
                 "volume requested for a simplex outside any coordinate subspace"
             )
-        return Fraction(abs(rows[k - 1][pivots[-1]]))
+        return Fraction(abs(rows[k - 1][pivots[-1]]), scale**k)
 
     def volume(self) -> Fraction:
         return self.normalized_volume() / factorial(self.dim)
@@ -121,7 +128,7 @@ class Simplex:
         """Exact membership via barycentric coordinates (degenerate: False).
 
         The `_barycentric_rows` of the chart (the frame's pivot coordinates)
-        give |det| times the weights of the point's chart.  The chart is
+        give D > 0 times the weights of the point's chart.  The chart is
         injective only on the affine hull, so below full dimension the
         weights must also rebuild the point itself.
         """
@@ -136,47 +143,49 @@ class Simplex:
         weights = [sum(w * x for w, x in zip(row, chart)) + row[-1] for row in rows]
         if any(x < 0 for x in weights):
             return False
-        scale = sum(weights)  # |det|: the rows sum to it at every point
+        scale = sum(weights)  # D: the rows sum to it at every point
         return k == self.n or all(
             sum(x * v[i] for x, v in zip(weights, self.vertices)) == scale * point[i]
             for i in range(self.n)
         )
 
 
-def _barycentric_rows(vertices) -> list[list] | None:
-    """One row (w, c) per vertex of n + 1 points in R^n with w . p + c =
-    |det| * (p's barycentric coordinate at that vertex), so p lies in the
-    simplex iff every row is >= 0 at p; None for a zero determinant.
+def _barycentric_rows(vertices) -> list[list[int]] | None:
+    """One integer row (w, c) per vertex of n + 1 points in R^n with
+    w . p + c = D * (p's barycentric coordinate at that vertex), D > 0, so
+    p lies in the simplex iff every row is >= 0 at p; None for a zero
+    determinant.
 
-    One `echelon` of the edge matrix E beside the identity gives
-    [U | T] with U = T E, and its last pivot is det E up to sign.  Solving
-    U y = |det| (column k of T) gives y = |det| E^-1 e_k, column k of the
-    adjugate up to sign: integers for integer vertices, so every division
-    of the back-substitution is exact, and exact Fractions for rational
-    ones.
+    One `echelon` of the grid's (`_grid`, scale L) edge matrix E beside
+    the identity gives [U | T] with U = T E, and its last pivot is det E up
+    to sign; D = |det E|.  Solving U y = D (column k of T) gives y =
+    D E^-1 e_k, column k of the adjugate up to sign, in integers, so every
+    division of the back-substitution is exact.  At a grid point q = L p,
+    D lambda_j = y_j . (q - grid base), so p's row is (L y_j, -y_j . base).
     """
-    base = vertices[0]
+    scale, grid = _grid(vertices)
+    base = grid[0]
     n = len(base)
     rows, pivots, _ = echelon(
-        [[v[i] - base[i] for v in vertices[1:]] + [int(t == i) for t in range(n)] for i in range(n)]
+        [[v[i] - base[i] for v in grid[1:]] + [int(t == i) for t in range(n)] for i in range(n)]
     )
     # [edges | I] has rank n, so pivots has n entries; the edges are
     # independent iff all of them lie in the first n columns
     if pivots[-1] != n - 1:
         return None
-    scale = abs(rows[-1][n - 1])  # |det|; the row swaps only flip its sign
+    det = abs(rows[-1][n - 1])  # the row swaps only flip its sign
     adjugate_cols = [
-        back_substitute([row[:n] + [scale * row[n + k]] for row in rows], pivots, [0] * n)
+        back_substitute([row[:n] + [det * row[n + k]] for row in rows], pivots, [0] * n)
         for k in range(n)
     ]
-    # |det| lambda_j(p) = w_j . (p - base), w_j = |det| (inverse row j), for
+    # D lambda_j(p) = w_j . (L p - base), w_j = D (inverse row j), for
     # j >= 1, and lambda_0 = 1 - (the other lambdas)
     functionals = []
     for j in range(n):
         w = [col[j] for col in adjugate_cols]
-        functionals.append(w + [-sum(a * b for a, b in zip(w, base))])
+        functionals.append([scale * x for x in w] + [-sum(a * b for a, b in zip(w, base))])
     functionals.insert(0, [-sum(col) for col in zip(*functionals)])
-    functionals[0][n] += scale
+    functionals[0][n] += det
     return functionals
 
 
@@ -197,17 +206,30 @@ def simplex_volume(s: Simplex) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
+def _grid(points) -> tuple[int, list]:
+    """(L, the points times L), with L the lcm of the denominators of
+    their coordinates, so the scaled points are integer tuples.  Points
+    whose coordinates are all ints come back unchanged, with L = 1."""
+    if all(type(x) is int for p in points for x in p):
+        return 1, points
+    scale = lcm(*(x.denominator for p in points for x in p))
+    return scale, [tuple(int(x * scale) for x in p) for p in points]
+
+
 def _frame(points):
-    """`echelon` of the edge vectors p - points[0] (points nonempty).
+    """(rows, pivots, L): `echelon` of the edge vectors q - q0 of the
+    points on their grid (`_grid`, points nonempty) and the grid's scale.
 
     Its pivot count is the affine dimension, and its pivot columns give a
     chart: the echelon rows restricted to them are triangular with nonzero
     diagonal, so dropping the other coordinates is injective on the affine
-    hull.  Its last pivot is the minor of the edges on all pivot columns
-    (not the pivot product), in int for integer points.
+    hull.  Its last pivot is the minor of the grid edges on all k pivot
+    columns (not the pivot product), L^k times that of the points' edges.
     """
-    base = points[0]
-    return echelon([[a - b for a, b in zip(p, base)] for p in points[1:]])
+    scale, grid = _grid(points)
+    base = grid[0]
+    rows, pivots, _ = echelon([[a - b for a, b in zip(p, base)] for p in grid[1:]])
+    return rows, pivots, scale
 
 
 def affine_dim(points) -> int:
@@ -261,13 +283,9 @@ def supporting_hyperplanes(points):
     orientations.  Integer points are evaluated in integer arithmetic.
     """
     d = len(points[0])
-    # a positive scaling of every point leaves every normal unchanged, so
-    # rational points are eliminated on the integer grid
-    scale = lcm(*(x.denominator for p in points for x in p))
-    grid = [tuple(int(x * scale) for x in p) for p in points]
     seen = set()
     for subset in combinations(range(len(points)), d):
-        w = _normal(*_frame([grid[j] for j in subset])[:2], d)
+        w = _normal(*_frame([points[j] for j in subset])[:2], d)
         if w is None:
             continue
         c = sum(wi * bi for wi, bi in zip(w, points[subset[0]]))

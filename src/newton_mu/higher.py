@@ -4,7 +4,7 @@ The r-th Newton number attaches the weight F^{|I|}_r(d) to each subset
 term of the alternating sum (subsets smaller than r drop out) plus a
 degree-dependent origin correction.  It obeys a factorization through the
 common base face exactly parallel to the plain Newton number, printed in
-four branch cases; all branches are implemented literally and checked
+four branch cases; they are computed as one range of orders and checked
 against two independent summations on every call.
 """
 
@@ -19,24 +19,20 @@ from .bounds import (
     BoundCertificate,
     ChainLink,
     _check_intercepts,
+    _require_below_diagram,
     chain_verdict,
     check_axis_simplex_inside,
     stabilized_region,
     verified,
 )
 from .coefficients import elementary_symmetric, f_coeff, g_coeff
-from .errors import (
-    ContainmentError,
-    DomainError,
-    FormulaMismatchError,
-)
+from .errors import DomainError, FormulaMismatchError
 from .geometry import Simplex
 from .newton import _alternating_terms, _factored_preamble
 from .polyhedra import (
     NewtonRegion,
     SupportSet,
     axis_simplex_region,
-    simplex_below_diagram,
 )
 
 
@@ -115,9 +111,10 @@ def r_newton_factored(z: NewtonRegion | Simplex, dt: DegreeTuple) -> RFactoredRe
     With I the common minimal full-supporting subset, m = n - |I|, and X'
     the projection killing the I coordinates, the number is
     |I|! V(X^I) * [ sum over k of (d_{k+1}...d_r) * G^{|I|+1}_{r-k+1}(d_k..d_r)
-    * nu^k_{d_1..d_k}(X') + trailing F term ], with the k range and the
-    presence of the F term depending on how r compares with |I| and m.
-    All four branch cases are implemented as printed.  The result is checked
+    * nu^k_{d_1..d_k}(X') + trailing F term ], k running from
+    max(1, r - |I|) to min(r, m) and the F term present exactly when r > m.
+    These fold the four printed branch cases, which the reported branch
+    names by comparing r with |I| and with m.  The result is checked
     against the direct sum and against the superset-restricted sum; any
     disagreement raises.  Orders r = 1 and r = n use the direct route only,
     as do inputs whose projections collapse.
@@ -145,22 +142,9 @@ def r_newton_factored(z: NewtonRegion | Simplex, dt: DegreeTuple) -> RFactoredRe
     if r == 1 or r == n or prime is None:
         return RFactoredResult(direct, I, face_volume, "direct", "direct", None)
 
-    if r <= size and r <= m:
-        ks = range(1, r + 1)
-        trailing = 0
-        branch = "r<=|I|, r<=m"
-    elif r <= size:
-        ks = range(1, m + 1)
-        trailing = f_coeff(n - m, r - m, tuple(d[m:r]))
-        branch = "r<=|I|, r>m"
-    elif r <= m:
-        ks = range(r - size, r + 1)
-        trailing = 0
-        branch = "r>|I|, r<=m"
-    else:
-        ks = range(r - size, m + 1)
-        trailing = f_coeff(n - m, r - m, tuple(d[m:r]))
-        branch = "r>|I|, r>m"
+    ks = range(max(1, r - size), min(r, m) + 1)
+    trailing = f_coeff(n - m, r - m, tuple(d[m:r])) if r > m else 0
+    branch = f"r{'<=' if r <= size else '>'}|I|, r{'<=' if r <= m else '>'}m"
 
     inner = Fraction(0)
     projected_values = []
@@ -234,10 +218,7 @@ def sciv_milnor_bound(s: SupportSet, dt: DegreeTuple, a) -> BoundCertificate:
     avec = _check_intercepts(a, s.n)
     if dt.r > s.n:
         raise DomainError(f"order r={dt.r} exceeds ambient dimension {s.n}")
-    if not simplex_below_diagram(s, avec):
-        raise ContainmentError(
-            "the axis simplex pokes above the Newton diagram; choose smaller intercepts"
-        )
+    _require_below_diagram(s, avec)
     floor = 1 + math.ceil(max(avec))
     region, nu_r, m_used = stabilized_region(
         s, floor_m=floor, value=lambda reg: r_newton_number(reg, dt).total

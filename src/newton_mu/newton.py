@@ -58,11 +58,14 @@ def _alternating_terms(x: NewtonRegion, r: int = 0) -> list[tuple]:
     """(I, (-1)^(n-|I|), |I|! V(X^I)) for every coordinate subset I with
     |I| >= r, in `all_subsets` order: the one alternating sum behind the
     plain and the r-th Newton numbers.  Checks the dimension guardrail,
-    then r <= n, then screens the region."""
+    then r <= n, then screens the region; a region that passed once is
+    marked in its `_cache` and not screened again."""
     check_dimension(x.n)
     if r > x.n:
         raise DomainError(f"order r={r} exceeds ambient dimension {x.n}")
-    validate_region(x)
+    if "screened" not in x._cache:
+        validate_region(x)
+        x._cache["screened"] = True
     vols = x.subset_volumes()
     return [(I, (-1) ** (x.n - len(I)), vols[I]) for I in all_subsets(x.n) if len(I) >= r]
 

@@ -24,7 +24,7 @@ from itertools import product as iter_product
 from math import comb, factorial
 
 from .errors import DomainError, StabilizationError
-from .geometry import Simplex, _barycentric_rows, _covers
+from .geometry import Simplex, _barycentric_rows, _covers, _grid
 from .newton import newton_number
 from .polyhedra import NewtonRegion, SupportSet, gamma_minus
 
@@ -79,14 +79,6 @@ class Polynomial:
         return SupportSet(variables, tuple(self.coefficients))
 
 
-def _integer_vertices(simplices) -> None:
-    for s in simplices:
-        for v in s.vertices:
-            for c in v:
-                if Fraction(c).denominator != 1:
-                    raise DomainError("lattice counting needs integer vertices")
-
-
 def ehrhart_volume(x: NewtonRegion | Simplex) -> Fraction:
     """Top-degree coefficient of the lattice-point counting polynomial.
 
@@ -103,7 +95,8 @@ def ehrhart_volume(x: NewtonRegion | Simplex) -> Fraction:
         )
     if n < 1:
         raise DomainError("lattice counting needs dimension at least 1")
-    _integer_vertices(region.simplices)
+    if any(_grid(s.vertices)[0] != 1 for s in region.simplices):
+        raise DomainError("lattice counting needs integer vertices")
 
     # p lies in the k-th dilate of a cell iff p / k lies in the cell, so the
     # barycentric rows of the undilated cells serve every dilate

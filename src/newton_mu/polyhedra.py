@@ -617,8 +617,15 @@ def is_quasi_convenient(x: NewtonRegion) -> tuple[bool, str]:
     Checks: origin in X; nonzero vertex coordinates >= 1; and for every
     nonempty I the family of maximal faces in R^I is pure |I|-dimensional,
     star-shaped at the origin, and connected through shared codimension-1
-    faces.  Regions built by gamma_minus pass.
+    faces.  Regions built by gamma_minus pass.  The verdict (ok, reason)
+    is kept in the region's `_cache`.
     """
+    if "quasi" not in x._cache:
+        x._cache["quasi"] = _quasi_convenience(x)
+    return x._cache["quasi"]
+
+
+def _quasi_convenience(x: NewtonRegion) -> tuple[bool, str]:
     if not x.contains_origin():
         return False, "origin is not in the region"
     for v in x.vertex_set:

@@ -1,9 +1,12 @@
-"""Exact linear-algebra references built on `linalg.echelon`.
+"""Exact linear-algebra references in their own Fraction arithmetic.
 
-The package reads rank, charts, volumes, normals and the Ehrhart leading
-coefficient off `echelon` and `back_substitute` directly.  These routines
-are the earlier derived ones, kept verbatim for the tests that freeze
-their values and compare the package against them.
+`ref_echelon` is Gaussian elimination over Fraction and
+`ref_back_substitute` its back-substitution: the package's elimination
+before it became Bareiss's, kept verbatim but for the names.  The
+`determinant`, `rank`, `solve` and `nullspace_vector` built on them are
+the earlier derived routines.  None of them calls `newton_mu.linalg`, so
+a test that compares the package against them shares no elimination with
+what it checks.
 """
 
 from __future__ import annotations
@@ -11,26 +14,66 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
-from newton_mu.linalg import back_substitute, echelon
+
+def ref_echelon(matrix) -> tuple[list[list[Fraction]], list[int], int]:
+    """Row echelon form by forward elimination, pivoting on the first row
+    with a nonzero entry in each column.
+
+    Returns (rows, pivot columns, sign of the row permutation).  Row i has
+    its leading entry in column pivots[i]; rows past len(pivots) are zero.
+    """
+    rows = [[Fraction(entry) for entry in row] for row in matrix]
+    width = len(rows[0]) if rows else 0
+    pivots: list[int] = []
+    sign = 1
+    for col in range(width):
+        rk = len(pivots)
+        if rk == len(rows):
+            break
+        pivot_row = next((r for r in range(rk, len(rows)) if rows[r][col] != 0), None)
+        if pivot_row is None:
+            continue
+        if pivot_row != rk:
+            rows[rk], rows[pivot_row] = rows[pivot_row], rows[rk]
+            sign = -sign
+        pivot = rows[rk][col]
+        for r in range(rk + 1, len(rows)):
+            if rows[r][col] != 0:
+                factor = rows[r][col] / pivot
+                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[rk])]
+        pivots.append(col)
+    return rows, pivots, sign
+
+
+def ref_back_substitute(rows, pivots, x: list) -> list:
+    """Fill the pivot entries of x, bottom row first, so that every echelon
+    row holds as row[:len(x)] . x = row[len(x)] (0 when the row has no
+    augmented entry).  The other entries of x are the free variables and
+    are read as given."""
+    width = len(x)
+    for row, col in reversed(list(zip(rows, pivots))):
+        rhs = row[width] if len(row) > width else 0
+        x[col] = (rhs - sum(row[j] * x[j] for j in range(col + 1, width))) / row[col]
+    return x
 
 
 def determinant(matrix) -> Fraction:
-    """Exact determinant of a square matrix of rationals: the sign of the
-    row swaps times the last Bareiss pivot."""
+    """Exact determinant of a square matrix of rationals."""
     size = len(matrix)
     if any(len(row) != size for row in matrix):
         raise ValueError("determinant requires a square matrix")
-    if not size:
-        return Fraction(1)
-    rows, pivots, sign = echelon(matrix)
+    rows, pivots, sign = ref_echelon(matrix)
     if len(pivots) < size:
         return Fraction(0)
-    return Fraction(sign * rows[-1][-1])
+    det = Fraction(sign)
+    for i in range(size):
+        det *= rows[i][i]
+    return det
 
 
 def rank(matrix) -> int:
     """Row rank over the rationals."""
-    return len(echelon(matrix)[1])
+    return len(ref_echelon(matrix)[1])
 
 
 def solve(matrix, rhs) -> list[Fraction] | None:
@@ -44,10 +87,10 @@ def solve(matrix, rhs) -> list[Fraction] | None:
     if not matrix:
         return []
     cols = len(matrix[0])
-    rows, pivots, _ = echelon([list(row) + [b] for row, b in zip(matrix, rhs)])
+    rows, pivots, _ = ref_echelon([list(row) + [b] for row, b in zip(matrix, rhs)])
     if pivots and pivots[-1] == cols:
         return None
-    return [Fraction(v) for v in back_substitute(rows, pivots, [0] * cols)]
+    return ref_back_substitute(rows, pivots, [Fraction(0)] * cols)
 
 
 def nullspace_vector(matrix) -> list[Fraction] | None:
@@ -58,13 +101,13 @@ def nullspace_vector(matrix) -> list[Fraction] | None:
     if not matrix:
         return None
     cols = len(matrix[0])
-    rows, pivots, _ = echelon(matrix)
+    rows, pivots, _ = ref_echelon(matrix)
     free = next((c for c in range(cols) if c not in pivots), None)
     if free is None:
         return None
-    x = [0] * cols
-    x[free] = 1
-    return [Fraction(v) for v in back_substitute(rows, pivots, x)]
+    x = [Fraction(0)] * cols
+    x[free] = Fraction(1)
+    return ref_back_substitute(rows, pivots, x)
 
 
 def primitive_integer_vector(vec) -> tuple[int, ...]:

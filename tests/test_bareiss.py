@@ -1,125 +1,40 @@
 """Fraction-free elimination against the Fraction elimination it replaced.
 
-`linalg.echelon` is Bareiss's elimination: integer rows stay integers and
-the pivot of row k is the minor on the first k + 1 rows and pivot columns.
-The references below are the earlier Fraction routines, kept verbatim but
-for their `ref_` names: Gaussian elimination over Fraction, its
-back-substitution, the `determinant`, `solve` and `nullspace_vector` built
-on them, the normal of `geometry.supporting_hyperplanes` by Fraction
-back-substitution and `primitive_integer_vector`, and `_barycentric_rows`
-from the inverse times the pivot product.  Pivots, swap sign, rank and
-every derived value must agree, and integer input must never leave int.
+`linalg.echelon` is Bareiss's elimination of integer matrices: the rows
+stay integers and the pivot of row k is the minor on the first k + 1 rows
+and pivot columns.  The references are the earlier Fraction routines:
+Gaussian elimination over Fraction, its back-substitution and the
+`determinant`, `solve` and `nullspace_vector` built on them (all in
+`linalg_reference`), and below the normal of
+`geometry.supporting_hyperplanes` by Fraction back-substitution and
+`primitive_integer_vector`, and `_barycentric_rows` from the inverse
+times the pivot product.  Pivots, swap sign, rank and every derived value
+must agree.  A rational matrix reaches `echelon` only on its integer grid
+(`geometry._grid`), so the rational inputs here are scaled there first.
 """
 
 import random
 from fractions import Fraction
 from itertools import combinations
-from math import prod
+from math import lcm, prod
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from newton_mu.geometry import Simplex, _barycentric_rows, supporting_hyperplanes
+from newton_mu.geometry import Simplex, _barycentric_rows, _grid, supporting_hyperplanes
 from linalg_reference import (
     determinant,
     nullspace_vector,
     primitive_integer_vector,
     rank,
+    ref_back_substitute,
+    ref_echelon,
     solve,
 )
 from newton_mu.linalg import back_substitute, echelon
 
 # ---------------------------------------------------------------------------
 # references
-
-
-def ref_echelon(matrix) -> tuple[list[list[Fraction]], list[int], int]:
-    """Row echelon form by forward elimination, pivoting on the first row
-    with a nonzero entry in each column.
-
-    Returns (rows, pivot columns, sign of the row permutation).  Row i has
-    its leading entry in column pivots[i]; rows past len(pivots) are zero.
-    """
-    rows = [[Fraction(entry) for entry in row] for row in matrix]
-    width = len(rows[0]) if rows else 0
-    pivots: list[int] = []
-    sign = 1
-    for col in range(width):
-        rk = len(pivots)
-        if rk == len(rows):
-            break
-        pivot_row = next((r for r in range(rk, len(rows)) if rows[r][col] != 0), None)
-        if pivot_row is None:
-            continue
-        if pivot_row != rk:
-            rows[rk], rows[pivot_row] = rows[pivot_row], rows[rk]
-            sign = -sign
-        pivot = rows[rk][col]
-        for r in range(rk + 1, len(rows)):
-            if rows[r][col] != 0:
-                factor = rows[r][col] / pivot
-                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[rk])]
-        pivots.append(col)
-    return rows, pivots, sign
-
-
-def ref_back_substitute(rows, pivots, x: list) -> list:
-    """Fill the pivot entries of x, bottom row first, so that every echelon
-    row holds as row[:len(x)] . x = row[len(x)] (0 when the row has no
-    augmented entry).  The other entries of x are the free variables and
-    are read as given."""
-    width = len(x)
-    for row, col in reversed(list(zip(rows, pivots))):
-        rhs = row[width] if len(row) > width else 0
-        x[col] = (rhs - sum(row[j] * x[j] for j in range(col + 1, width))) / row[col]
-    return x
-
-
-def ref_determinant(matrix) -> Fraction:
-    """Exact determinant of a square matrix of rationals."""
-    size = len(matrix)
-    if any(len(row) != size for row in matrix):
-        raise ValueError("determinant requires a square matrix")
-    rows, pivots, sign = ref_echelon(matrix)
-    if len(pivots) < size:
-        return Fraction(0)
-    det = Fraction(sign)
-    for i in range(size):
-        det *= rows[i][i]
-    return det
-
-
-def ref_solve(matrix, rhs) -> list[Fraction] | None:
-    """Solve A x = b exactly.
-
-    Accepts rectangular A; returns one solution (free variables pinned to 0)
-    or None when inconsistent.
-    """
-    if len(matrix) != len(rhs):
-        raise ValueError("rhs length mismatch")
-    if not matrix:
-        return []
-    cols = len(matrix[0])
-    rows, pivots, _ = ref_echelon([list(row) + [b] for row, b in zip(matrix, rhs)])
-    if pivots and pivots[-1] == cols:
-        return None
-    return ref_back_substitute(rows, pivots, [Fraction(0)] * cols)
-
-
-def ref_nullspace_vector(matrix) -> list[Fraction] | None:
-    """One nonzero kernel vector of A, or None when A has full column rank.
-
-    The first free coordinate is 1 and the other free coordinates are 0.
-    """
-    if not matrix:
-        return None
-    cols = len(matrix[0])
-    rows, pivots, _ = ref_echelon(matrix)
-    free = next((c for c in range(cols) if c not in pivots), None)
-    if free is None:
-        return None
-    x = [Fraction(0)] * cols
-    x[free] = Fraction(1)
-    return ref_back_substitute(rows, pivots, x)
 
 
 def ref_frame(points):
@@ -229,34 +144,47 @@ def seeded_matrices():
                     yield random_matrix(rng, rows, cols, rational)
 
 
-def typed(values):
-    return None if values is None else [(type(v), v) for v in values]
-
-
 def assert_matches_reference(matrix):
+    """`echelon` and `back_substitute` against the Fraction references, on
+    the integer grid of the matrix."""
+    matrix = [list(row) for row in _grid(matrix)[1]]
     rows, pivots, sign = echelon(matrix)
     ref_rows, ref_pivots, ref_sign = ref_echelon(matrix)
     assert (pivots, sign) == (ref_pivots, ref_sign), matrix
-    assert rank(matrix) == len(ref_pivots)
+    assert rank(matrix) == len(pivots)
     # Bareiss invariant: row k is the Gaussian row k times the product of
     # the k pivots above it, so its pivot is the leading (k + 1)-minor
     for k, (row, ref_row) in enumerate(zip(rows, ref_rows)):
         scale = prod(ref_rows[i][c] for i, c in enumerate(ref_pivots[:k]))
         assert row == [scale * e for e in ref_row], matrix
-    if all(isinstance(e, int) for row in matrix for e in row):
-        assert all(type(e) is int for row in rows for e in row), matrix
-    else:
-        assert all(type(e) is Fraction for row in rows for e in row), matrix
-    if matrix and len(matrix) == len(matrix[0]):
-        value = determinant(matrix)
-        assert (type(value), value) == (Fraction, ref_determinant(matrix)), matrix
-    assert typed(nullspace_vector(matrix)) == typed(ref_nullspace_vector(matrix)), matrix
-    if matrix:
-        rng = random.Random(repr(matrix))
-        consistent = [sum(rng.randint(-2, 2) * e for e in row) for row in matrix]
-        arbitrary = [rng.randint(-3, 3) for _ in matrix]
-        for rhs in (consistent, arbitrary):
-            assert typed(solve(matrix, rhs)) == typed(ref_solve(matrix, rhs)), matrix
+    assert all(type(e) is int for row in rows for e in row), matrix
+    if matrix and len(matrix) == len(matrix[0]) == len(pivots):
+        assert sign * rows[-1][-1] == determinant(matrix), matrix
+    if not matrix:
+        return
+    # the last pivot D clears the denominators of a kernel vector and of a
+    # solution (Cramer's rule), so the back-substitution stays in int
+    cols = len(matrix[0])
+    last = abs(rows[len(pivots) - 1][pivots[-1]]) if pivots else 1
+    kernel = nullspace_vector(matrix)
+    if kernel is not None:
+        x = [0] * cols
+        x[next(c for c in range(cols) if c not in pivots)] = last
+        assert back_substitute(rows, pivots, x) == [last * v for v in kernel], matrix
+        assert all(type(v) is int for v in x)
+    rng = random.Random(repr(matrix))
+    consistent = [sum(rng.randint(-2, 2) * e for e in row) for row in matrix]
+    arbitrary = [rng.randint(-3, 3) for _ in matrix]
+    for rhs in (consistent, arbitrary):
+        reference = solve(matrix, rhs)
+        rows, pivots, _ = echelon([row + [b] for row, b in zip(matrix, rhs)])
+        assert (reference is None) == bool(pivots and pivots[-1] == cols), matrix
+        if reference is not None:
+            last = abs(rows[len(pivots) - 1][pivots[-1]]) if pivots else 1
+            x = back_substitute(
+                [row[:cols] + [last * row[cols]] for row in rows], pivots, [0] * cols
+            )
+            assert x == [last * v for v in reference], matrix
 
 
 # ---------------------------------------------------------------------------
@@ -298,15 +226,17 @@ def test_determinant_is_the_last_pivot():
     matrix = [[2, 1, 0], [4, 3, 1], [0, 1, 9]]
     rows, pivots, sign = echelon(matrix)
     assert [rows[k][c] for k, c in enumerate(pivots)] == [2, 2, 16]
-    assert determinant(matrix) == 16 == ref_determinant(matrix)
-    assert determinant([[0, 1], [3, 5]]) == -3  # one swap
+    assert sign * rows[-1][-1] == 16 == determinant(matrix)
+    rows, _, sign = echelon([[0, 1], [3, 5]])  # one swap
+    assert sign * rows[-1][-1] == -3 == determinant([[0, 1], [3, 5]])
     # a row that is 0 in the pivot column is still multiplied by the pivot
     rows, _, _ = echelon([[2, 1], [0, 3]])
     assert rows == [[2, 1], [0, 6]]
-    # exact integer division gives an int, an inexact one a Fraction
+    # an exact division gives an int, an inexact one raises
     assert back_substitute([[2, 4]], [0], [0, 3]) == [-6, 3]
     assert type(back_substitute([[2, 4]], [0], [0, 3])[0]) is int
-    assert back_substitute([[2, 1]], [0], [0, 1]) == [Fraction(-1, 2), 1]
+    with pytest.raises(ArithmeticError):
+        back_substitute([[2, 1]], [0], [0, 1])
 
 
 # ---------------------------------------------------------------------------
@@ -368,10 +298,16 @@ def test_barycentric_rows_match_reference():
         rational = case % 3 == 0
         verts = random_simplex(rng, n, rational)
         got = _barycentric_rows(verts)
-        assert got == ref_barycentric_rows(verts), verts
+        ref = ref_barycentric_rows(verts)
         degenerate += got is None
-        if got is not None and not rational:
-            assert all(type(x) is int for row in got for x in row)
+        if got is None:
+            assert ref is None, verts
+            continue
+        # the rows are D = |det| of the grid edges times the weights, and
+        # the grid scales the edges by L
+        scale = lcm(*(Fraction(x).denominator for v in verts for x in v)) ** n
+        assert got == [[scale * x for x in row] for row in ref], verts
+        assert all(type(x) is int for row in got for x in row)
     assert degenerate >= 20
 
 
@@ -386,4 +322,4 @@ def test_normalized_volume_is_the_last_pivot():
         base = s.vertices[0]
         edges = [[a - b for a, b in zip(v, base)] for v in s.vertices[1:]]
         value = s.normalized_volume()
-        assert (type(value), value) == (Fraction, abs(ref_determinant(edges)))
+        assert (type(value), value) == (Fraction, abs(determinant(edges)))

@@ -7,7 +7,9 @@ verbatim: one `rank` per point and one `solve` per point for the chart, a
 `rank` of the edge matrix for the dimension and degeneracy, and a
 `determinant` of the edges over the live coordinates for the volume, and
 for `Simplex.contains_point` a `Fraction` elimination of the edges beside
-the point.  Every public result, and every error message, must be the same.
+the point.  The references eliminate in their own Fraction arithmetic
+(`linalg_reference`), the package on the integer grid of the points.
+Every public result, and every error message, must be the same.
 """
 
 import random
@@ -25,8 +27,7 @@ from newton_mu.geometry import (
     pull_triangulate,
     supporting_hyperplanes,
 )
-from linalg_reference import determinant, rank, solve
-from newton_mu.linalg import back_substitute, echelon
+from linalg_reference import determinant, rank, ref_back_substitute, ref_echelon, solve
 
 # ---------------------------------------------------------------------------
 # references
@@ -122,10 +123,10 @@ def ref_contains_point(self: Simplex, point) -> bool:
     if not cols:
         return tuple(point) == base
     rhs = vec_sub(point, base)
-    rows, pivots, _ = echelon([[c[i] for c in cols] + [rhs[i]] for i in range(self.n)])
+    rows, pivots, _ = ref_echelon([[c[i] for c in cols] + [rhs[i]] for i in range(self.n)])
     if len(pivots) < self.dim or (pivots and pivots[-1] == self.dim):
         return False  # degenerate, or point off the simplex's affine hull
-    coeffs = back_substitute(rows, pivots, [Fraction(0)] * self.dim)
+    coeffs = ref_back_substitute(rows, pivots, [Fraction(0)] * self.dim)
     residual_ok = all(
         sum(c[i] * x for c, x in zip(cols, coeffs)) == rhs[i] for i in range(self.n)
     )

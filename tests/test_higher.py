@@ -2,11 +2,14 @@
 
 import random
 from fractions import Fraction
+from math import prod
 
 import pytest
 
 from conftest import fan_union, forced_minimal_simplex, random_convenient_support
-from newton_mu.coefficients import elementary_symmetric, f_coeff
+from newton_mu.cli import run
+from newton_mu.coefficients import elementary_symmetric, f_coeff, g_coeff
+from newton_mu.geometry import Simplex
 from newton_mu.errors import DomainError
 from newton_mu.higher import (
     DegreeTuple,
@@ -18,7 +21,13 @@ from newton_mu.higher import (
     sciv_milnor_bound,
 )
 from newton_mu.newton import newton_number
-from newton_mu.polyhedra import axis_simplex_region, gamma_minus, support
+from newton_mu.polyhedra import (
+    NewtonRegion,
+    axis_simplex_region,
+    gamma_minus,
+    region_from_simplices,
+    support,
+)
 
 
 def closed_form(r, d, a):
@@ -144,7 +153,7 @@ def test_sciv_bound_stabilizes():
     assert cert.verdict is True
 
 
-def test_factored_route_screens_the_region_once(monkeypatch):
+def count_screens(monkeypatch) -> list:
     import newton_mu.newton as newton_module
 
     screened = []
@@ -152,9 +161,73 @@ def test_factored_route_screens_the_region_once(monkeypatch):
     monkeypatch.setattr(
         newton_module, "validate_region", lambda x: (screened.append(x), screen(x))[1]
     )
+    return screened
+
+
+def test_factored_route_screens_the_region_once(monkeypatch):
+    screened = count_screens(monkeypatch)
     rng = random.Random(7)
     region = fan_union(rng, 4, 2)
     for d in ((2,), (1, 2), (2, 1, 1)):
-        screened.clear()
         r_newton_factored(region, degree_tuple(d))
-        assert sum(x is region for x in screened) == 1
+    # a passed screen is kept in the region's cache, so across the calls too
+    assert sum(x is region for x in screened) == 1
+
+
+def test_each_region_is_screened_once(monkeypatch):
+    screened = count_screens(monkeypatch)
+    # the region and its projection X', which each k of the sum reads
+    r_newton_factored(fan_union(random.Random(7), 4, 2), degree_tuple((2, 1, 1)))
+    assert (len(screened), len(set(screened))) == (2, 2)
+    screened.clear()
+    # outer, inner and one region per piece; nu(X) and nu(Y) are asked twice
+    code, _ = run(["decompose", "--poly", "x^5+y^5+z^5", "--inner-poly", "x^3+y^3+z^3"])
+    assert code == 0
+    assert (len(screened), len(set(screened))) == (5, 5)
+
+
+def printed_branch(r, size, m, n, d):
+    """The four branch cases of the factorization as printed: the k range,
+    the trailing F term and the branch label."""
+    if r <= size and r <= m:
+        return range(1, r + 1), 0, "r<=|I|, r<=m"
+    if r <= size:
+        return range(1, m + 1), f_coeff(n - m, r - m, tuple(d[m:r])), "r<=|I|, r>m"
+    if r <= m:
+        return range(r - size, r + 1), 0, "r>|I|, r<=m"
+    return range(r - size, m + 1), f_coeff(n - m, r - m, tuple(d[m:r])), "r>|I|, r>m"
+
+
+def branch_region(n, size):
+    """The n-simplex 1_I + {0, e_1, ..., e_n}, 1_I the indicator of the
+    first `size` axes: it avoids the origin, its minimal full-supporting
+    subset is I, and its projection X' is the standard simplex of the
+    other m = n - size axes."""
+    ones = tuple(int(i < size) for i in range(n))
+    steps = [tuple(x + (i == j) for i, x in enumerate(ones)) for j in range(n)]
+    return region_from_simplices([Simplex((ones, *steps))])
+
+
+def test_folded_branches_match_the_printed_cases():
+    seen = set()
+    for n in range(3, 7):
+        for size in range(1, n):
+            m = n - size
+            region = branch_region(n, size)
+            for r in range(2, n):
+                d = tuple(1 + (i * 7 + n) % 3 for i in range(r))
+                fac = r_newton_factored(region, DegreeTuple(r, d))
+                assert fac.route == "factored", (n, size, r)
+                ks, trailing, branch = printed_branch(r, size, m, n, d)
+                prime = NewtonRegion(m, (Simplex(tuple(
+                    tuple(int(i == j) for i in range(m)) for j in range(-1, m)
+                )),))
+                values = tuple(r_newton_number(prime, DegreeTuple(k, d[:k])).total for k in ks)
+                inner = sum(
+                    prod(d[k:r]) * g_coeff(size + 1, r - k + 1, d[k - 1 : r]) * value
+                    for k, value in zip(ks, values)
+                )
+                assert (fac.branch, fac.projected_values) == (branch, values), (n, size, r)
+                assert fac.total == fac.face_volume * (inner + trailing)
+                seen.add(branch)
+    assert len(seen) == 4

@@ -3,7 +3,8 @@
 The package is stdlib-only: every absolute import names a module of the
 standard library (`sys.stdlib_module_names`), and everything else is a
 relative import of the package's own modules.  Arithmetic is exact: no
-module holds a float literal.
+module holds a float literal, and `linalg` eliminates in int only, with no
+`fractions` import.
 """
 
 import ast
@@ -50,3 +51,16 @@ def test_package_is_stdlib_only_and_float_free():
         if (problems := violations(path.read_text(encoding="utf-8")))
     }
     assert found == {}
+
+
+def test_linalg_is_integer_only():
+    # rationals reach the eliminations only on the integer grid of
+    # `geometry._grid`, so `linalg` needs no Fraction
+    tree = ast.parse((PACKAGE / "linalg.py").read_text(encoding="utf-8"))
+    imported = [
+        node.module if isinstance(node, ast.ImportFrom) else alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+    ]
+    assert imported and not any(name.split(".")[0] == "fractions" for name in imported)

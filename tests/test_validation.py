@@ -183,8 +183,10 @@ def test_barycentric_rows_pinned():
     # 16 * (1 - x/4 - y/4), 16 * x/4, 16 * y/4
     assert _barycentric_rows(((0, 0), (4, 0), (0, 4))) == [[-4, -4, 16], [4, 0, 0], [0, 4, 0]]
     assert _barycentric_rows(((0, 0), (1, 1), (2, 2))) is None
+    # on the grid of scale L = 2 the rows are L^2 = 4 times the weights' rows
+    # [[-1, -1/2, 1/2], [1, 0, 0], [0, 1/2, 0]]
     half = _barycentric_rows(((0, 0), (Fraction(1, 2), 0), (0, 1)))
-    assert half == [[-1, Fraction(-1, 2), Fraction(1, 2)], [1, 0, 0], [0, Fraction(1, 2), 0]]
+    assert half == [[-4, -2, 2], [4, 0, 0], [0, 2, 0]]
     # the centroid (sum 3, count 3) of the unit triangle is inside; (5, 0) / 1 is not
     rows = _barycentric_rows(((0, 0), (3, 0), (0, 3)))
     assert _covers(rows, (3, 3), 3)
