@@ -15,11 +15,12 @@ multiplies every k-minor of the edges by L^k and keeps every pivot
 column, rank and hyperplane direction.
 
 Every point-set quantity comes from one fraction-free elimination of the
-edge vectors p - p0 on the grid (`_frame`): the affine dimension is its
-pivot count, the chart of the affine hull keeps the pivot coordinates, and
-the volume of a simplex in an axis-parallel coordinate subspace is the
-last pivot over L^k, up to sign, because that pivot is the minor on all k
-pivot columns.  No Gram determinants.
+edge vectors p - p0 on the grid.  On all columns (`_frame`) its pivot
+count is the affine dimension and its pivot coordinates chart the affine
+hull.  Face volumes come from `_volume_on`, not `_frame`: on the k columns
+of the coordinate subspace R^I holding a k-simplex, the last pivot over
+L^k is its normalized volume, the k x k determinant up to sign.  No Gram
+determinants.
 
 Every hyperplane normal is the cofactor vector of one elimination
 (`_normal`).  `supporting_hyperplanes` enumerates the facets of small
@@ -92,34 +93,21 @@ class Simplex:
     def contains_origin(self) -> bool:
         return any(is_origin(v) for v in self.vertices)
 
-    def face_in_subspace(self, members: frozenset[int]) -> tuple[Vec, ...]:
-        """Vertices lying in the coordinate subspace R^members (0-based)."""
-        return tuple(v for v in self.vertices if coordinate_support(v) <= members)
-
     def normalized_volume(self) -> Fraction:
         """dim! times the dim-volume, inside the simplex's coordinate subspace.
 
         A degenerate simplex has volume 0.  Otherwise the coordinates that
         are nonzero somewhere (the live ones) must number exactly dim: with
         more, the simplex spans no axis-parallel coordinate flat and its
-        volume is out of scope.  The value is |last pivot| / L^dim of the
-        frame on the grid of scale L.
+        volume is out of scope.  The value is `_volume_on` the live
+        coordinates, 1 for a point.
         """
-        k = self.dim
-        if k == 0:
-            return Fraction(1)
-        rows, pivots, scale = _frame(self.vertices)
-        if len(pivots) < k:
-            return Fraction(0)
-        # the edges vanish off the live coordinates, so the k pivots lie
-        # among them, and with exactly k live coordinates the last pivot,
-        # the minor on all k pivot columns, is the determinant there up to
-        # sign
-        if len(set().union(*[coordinate_support(v) for v in self.vertices])) > k:
+        live = set().union(*[coordinate_support(v) for v in self.vertices])
+        if 0 < self.dim < len(live) and not self.is_degenerate:
             raise InvalidRegionError(
                 "volume requested for a simplex outside any coordinate subspace"
             )
-        return Fraction(abs(rows[k - 1][pivots[-1]]), scale**k)
+        return _volume_on(self.vertices, sorted(live))
 
     def volume(self) -> Fraction:
         return self.normalized_volume() / factorial(self.dim)
@@ -216,20 +204,31 @@ def _grid(points) -> tuple[int, list]:
     return scale, [tuple(int(x * scale) for x in p) for p in points]
 
 
+def _volume_on(vertices, columns) -> Fraction:
+    """k! times the k-volume of k + 1 points whose edges vanish off the
+    given coordinates: |last pivot| / L^k of one `echelon` of the grid
+    edges (`_grid`, scale L) on those columns, 0 below rank k, 1 for k = 0.
+    With k columns the last pivot is the k x k determinant up to sign."""
+    k = len(vertices) - 1
+    scale, grid = _grid(vertices)
+    rows, pivots, _ = echelon([[p[c] - grid[0][c] for c in columns] for p in grid[1:]])
+    if len(pivots) < k:
+        return Fraction(0)
+    return Fraction(abs(rows[-1][pivots[-1]]), scale**k) if k else Fraction(1)
+
+
 def _frame(points):
-    """(rows, pivots, L): `echelon` of the edge vectors q - q0 of the
-    points on their grid (`_grid`, points nonempty) and the grid's scale.
+    """(rows, pivots): `echelon` of the edge vectors q - q0 of the points
+    on their grid (`_grid`, points nonempty).
 
     Its pivot count is the affine dimension, and its pivot columns give a
     chart: the echelon rows restricted to them are triangular with nonzero
     diagonal, so dropping the other coordinates is injective on the affine
     hull.  Its last pivot is the minor of the grid edges on all k pivot
-    columns (not the pivot product), L^k times that of the points' edges.
+    columns (not the pivot product), the cofactor that `_normal` reads.
     """
-    scale, grid = _grid(points)
-    base = grid[0]
-    rows, pivots, _ = echelon([[a - b for a, b in zip(p, base)] for p in grid[1:]])
-    return rows, pivots, scale
+    grid = _grid(points)[1]
+    return echelon([[a - b for a, b in zip(p, grid[0])] for p in grid[1:]])[:2]
 
 
 def affine_dim(points) -> int:
@@ -285,7 +284,7 @@ def supporting_hyperplanes(points):
     d = len(points[0])
     seen = set()
     for subset in combinations(range(len(points)), d):
-        w = _normal(*_frame([points[j] for j in subset])[:2], d)
+        w = _normal(*_frame([points[j] for j in subset]), d)
         if w is None:
             continue
         c = sum(wi * bi for wi, bi in zip(w, points[subset[0]]))

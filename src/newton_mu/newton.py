@@ -25,13 +25,12 @@ from .geometry import Simplex, Vec
 from .polyhedra import (
     NewtonRegion,
     SupportSet,
+    _cell_faces,
     all_subsets,
     check_dimension,
     cone_over_visible_facets,
-    drop_coordinates,
     is_quasi_convenient,
     newton_diagram,
-    project,
     validate_region,
 )
 
@@ -77,7 +76,8 @@ def newton_number(x: NewtonRegion) -> NewtonReport:
 
 
 def full_supporting_subsets(s: Simplex) -> list[frozenset[int]]:
-    """Coordinate subsets I such that exactly |I|+1 vertices of s lie in R^I.
+    """Coordinate subsets I such that exactly |I|+1 vertices of s lie in R^I,
+    in `all_subsets` order, read off the cell's face table (`_cell_faces`).
 
     For a nondegenerate top-dimensional simplex these are the subsets whose
     subspace meets s in a full |I|-dimensional face; they are closed under
@@ -85,11 +85,7 @@ def full_supporting_subsets(s: Simplex) -> list[frozenset[int]]:
     """
     if s.dim != s.n or s.is_degenerate:
         raise DomainError("full-supporting subsets need a nondegenerate top-dimensional simplex")
-    out = []
-    for I in all_subsets(s.n):
-        if len(s.face_in_subspace(I)) == len(I) + 1:
-            out.append(I)
-    return out
+    return [I for I, f in _cell_faces(s).items() if len(f) == len(I) + 1]
 
 
 def minimal_full_supporting(s: Simplex) -> frozenset[int]:
@@ -120,9 +116,10 @@ def _factored_preamble(z: NewtonRegion | Simplex, direct):
     nondegenerate top-dimensional simplices, evaluates direct(region), and
     requires one minimal full-supporting subset I and one base face in R^I
     for every piece.  Returns (region, direct report, I, |I|! V(base face),
-    projected region), where the projected region drops the I coordinates
-    of every piece and is None when |I| = n or two pieces or vertices
-    collapse under the projection.
+    projected region).  The face volume is the region's subset volume at
+    I, whose one face has |I| + 1 vertices.  The projected region drops
+    the I coordinates of every piece and is None when |I| = n or two
+    pieces or vertices collapse under the projection.
     """
     region = z if isinstance(z, NewtonRegion) else NewtonRegion(z.n, (z,))
     check_dimension(region.n)
@@ -140,15 +137,18 @@ def _factored_preamble(z: NewtonRegion | Simplex, direct):
             + ", ".join(str(sorted(i + 1 for i in m)) for m in sorted(mins, key=sorted))
         )
     I = next(iter(mins))
-    faces = region._faces()[I]
-    if len(faces) != 1:
+    if len(region._faces()[I]) != 1:
         raise InvalidRegionError("pieces do not share one base face in the subspace")
-    face_volume = Simplex(next(iter(faces))).normalized_volume()
+    face_volume = region.subset_volumes()[I]
 
     m = region.n - len(I)
     prime = None
     if m > 0:
-        projected = [drop_coordinates(project(s, I), I) for s in region.simplices]
+        keep = [i for i in range(region.n) if i not in I]
+        projected = [
+            Simplex(tuple({tuple(v[i] for i in keep) for v in s.vertices}))
+            for s in region.simplices
+        ]
         if len(set(projected)) == len(projected) and all(
             len(p.vertices) == m + 1 and not p.is_degenerate for p in projected
         ):
@@ -239,18 +239,19 @@ def decompose_difference(x: NewtonRegion, y: NewtonRegion) -> list[Decomposition
                 )
         simplices = _removal_shells(x.source, y.source)
     else:
-        missing = [s for s in y.simplices if s not in set(x.simplices)]
+        outer, inner = set(x.simplices), set(y.simplices)
+        missing = [s for s in y.simplices if s not in outer]
         if missing:
             raise ContainmentError(
                 "explicit regions must share a common refinement"
                 f" (inner simplex {missing[0].vertices} is not a piece of the outer region)"
             )
-        simplices = [s for s in x.simplices if s not in set(y.simplices)]
+        simplices = [s for s in x.simplices if s not in inner]
 
     groups: dict[tuple, list[Simplex]] = {}
     for s in simplices:
         I = minimal_full_supporting(s)
-        face = s.face_in_subspace(I)
+        face = _cell_faces(s)[I]
         key = (len(I), tuple(sorted(I)), face)
         groups.setdefault(key, []).append(s)
 

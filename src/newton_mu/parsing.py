@@ -136,6 +136,10 @@ def _classify_names(terms, variables: tuple[str, ...] | None):
         if "z" in alpha:
             raise ParseError("bare z cannot mix with numbered z variables", 0)
         index = {f"z{k+1}": k for k in range(top)}
+        stray = next((n for n in pure_numbered if n not in index), None)  # z0, z01, ...
+        if stray:
+            message = f"numbered variables are z1, z2, ...; {stray} is not one of them"
+            raise ParseError(message, next(t.position for t in terms if stray in t.powers))
         return index, others
     if alpha:
         top = max(_ALPHABET[n] for n in alpha)

@@ -68,6 +68,7 @@ from .geometry import (
     _barycentric_rows,
     _covers,
     _normal,
+    _volume_on,
     coordinate_support,
     polytope_facets,
     pull_triangulate,
@@ -398,11 +399,11 @@ class NewtonRegion:
     Every question about the pieces X^I of X in the coordinate subspaces
     R^I reads one table, `_faces()`, built once and kept in `_cache`: it
     maps each coordinate subset I to the distinct nonempty faces X^I of
-    the cells.  Inside the orthant a simplex meets R^I exactly in the face
-    spanned by its vertices lying there, so X^I is the union of these
-    faces.  Subset volumes sum the faces with |I| + 1 vertices (identical
-    faces from several cells count once), quasi-convenience tests their
-    shape, and an explicit region's restriction reindexes them.
+    the cells, the union of the cells' `_cell_faces` tables.  X^I is the
+    union of these faces.  Subset volumes sum `_volume_on` the columns I
+    over the faces with |I| + 1 vertices (identical faces from several
+    cells count once), with no `Simplex` per face; quasi-convenience tests
+    the faces' shape, and an explicit region's restriction reindexes them.
     """
 
     n: int
@@ -434,14 +435,9 @@ class NewtonRegion:
         coordinate subset I in `all_subsets` order; each face is a cell's
         vertices lying in R^I, in the cell's order."""
         if "faces" not in self._cache:
-            cells = [[(v, coordinate_support(v)) for v in s.vertices] for s in self.simplices]
+            tables = [_cell_faces(s) for s in self.simplices]
             self._cache["faces"] = {
-                I: frozenset(
-                    face
-                    for face in (tuple(v for v, sp in cell if sp <= I) for cell in cells)
-                    if face
-                )
-                for I in all_subsets(self.n)
+                I: frozenset(t[I] for t in tables if t[I]) for I in all_subsets(self.n)
             }
         return self._cache["faces"]
 
@@ -450,12 +446,21 @@ class NewtonRegion:
         if "vols" not in self._cache:
             self._cache["vols"] = {
                 I: sum(
-                    (Simplex(f).normalized_volume() for f in faces if len(f) == len(I) + 1),
+                    (_volume_on(f, sorted(I)) for f in faces if len(f) == len(I) + 1),
                     Fraction(0),
                 )
                 for I, faces in self._faces().items()
             }
         return self._cache["vols"]
+
+
+def _cell_faces(cell: Simplex) -> dict[frozenset[int], tuple[Vec, ...]]:
+    """Map I -> the cell's vertices lying in R^I, in the cell's order, for
+    every coordinate subset I in `all_subsets` order.  Inside the orthant
+    a simplex meets R^I exactly in the face these vertices span; this is
+    the one place where that rule is written."""
+    supports = [(v, coordinate_support(v)) for v in cell.vertices]
+    return {I: tuple(v for v, sp in supports if sp <= I) for I in all_subsets(cell.n)}
 
 
 def region_from_simplices(simplices, source: SupportSet | None = None) -> NewtonRegion:
@@ -598,19 +603,6 @@ def project(x: NewtonRegion | Simplex, I) -> NewtonRegion | Simplex:
     return NewtonRegion(x.n, tuple(sims))
 
 
-def drop_coordinates(x: NewtonRegion | Simplex, I) -> NewtonRegion | Simplex:
-    """Forget the coordinates in I (they must vanish on every vertex)."""
-    members = frozenset(I)
-    if isinstance(x, Simplex):
-        keep = [i for i in range(x.n) if i not in members]
-        for v in x.vertices:
-            if any(v[i] != 0 for i in members):
-                raise DomainError("cannot drop a live coordinate")
-        return Simplex(tuple(tuple(v[i] for i in keep) for v in x.vertices))
-    sims = tuple(drop_coordinates(s, members) for s in x.simplices)
-    return NewtonRegion(x.n - len(members), tuple(sorted(set(sims), key=lambda s: s.vertices)))
-
-
 def is_quasi_convenient(x: NewtonRegion) -> tuple[bool, str]:
     """Sufficient proxy for the disk conditions.
 
@@ -644,7 +636,7 @@ def _quasi_convenience(x: NewtonRegion) -> tuple[bool, str]:
         ]
         want = len(I) + 1
         for f in maximal:
-            if len(f) != want or Simplex(f).normalized_volume() == 0:
+            if len(f) != want or _volume_on(f, sorted(I)) == 0:
                 return False, (
                     f"restriction to subspace {sorted(i + 1 for i in I)} is not pure"
                 )

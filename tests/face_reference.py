@@ -1,19 +1,24 @@
-"""Per-function face loops that `NewtonRegion._faces` replaced.
+"""Per-function face loops that `NewtonRegion._faces` and
+`polyhedra._cell_faces` replaced.
 
 Each routine below collected the faces X^I of a region's cells on its own,
 one 2^n subsets x cells pass per call, and the axis screen tested every
-axis-simplex vertex against every cell with `contains_point`.  They are
-kept verbatim as references for the tests that compare the package's
-face table against them.
+axis-simplex vertex against every cell with `contains_point`.  The
+full-supporting loop, the grouping of `decompose_difference` and the
+factored projection `drop_coordinates(project(s, I), I)` asked each cell
+for its face in R^I again, and volumes were read off a `Simplex` per face.
+They are kept verbatim, with the removed `Simplex.face_in_subspace` rule
+written inline, as references for the tests that compare the package's
+face tables against them.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from newton_mu.errors import ContainmentError, DomainError
+from newton_mu.errors import ContainmentError, DomainError, InvalidRegionError
 from newton_mu.geometry import Simplex, Vec, coordinate_support
-from newton_mu.polyhedra import NewtonRegion, all_subsets
+from newton_mu.polyhedra import NewtonRegion, all_subsets, project
 
 
 def subset_volumes(x: NewtonRegion) -> dict[frozenset[int], Fraction]:
@@ -54,7 +59,7 @@ def is_quasi_convenient(x: NewtonRegion) -> tuple[bool, str]:
             continue
         faces = set()
         for s in x.simplices:
-            face = s.face_in_subspace(I)
+            face = tuple(v for v in s.vertices if coordinate_support(v) <= I)
             if face:
                 faces.add(face)
         if not faces:
@@ -111,9 +116,76 @@ def restrict(x: NewtonRegion, I) -> NewtonRegion:
     order = sorted(members)
     faces = set()
     for s in x.simplices:
-        face = s.face_in_subspace(members)
+        face = tuple(v for v in s.vertices if coordinate_support(v) <= members)
         if face:
             faces.add(tuple(tuple(v[i] for i in order) for v in face))
     if not faces:
         raise DomainError("region does not meet the requested coordinate subspace")
     return NewtonRegion(len(order), tuple(Simplex(f) for f in sorted(faces)))
+
+
+def full_supporting_subsets(s: Simplex) -> list[frozenset[int]]:
+    if s.dim != s.n or s.is_degenerate:
+        raise DomainError("full-supporting subsets need a nondegenerate top-dimensional simplex")
+    out = []
+    for I in all_subsets(s.n):
+        if len(tuple(v for v in s.vertices if coordinate_support(v) <= I)) == len(I) + 1:
+            out.append(I)
+    return out
+
+
+def minimal_full_supporting(s: Simplex) -> frozenset[int]:
+    subs = full_supporting_subsets(s)
+    smallest = frozenset(range(s.n))
+    for I in subs:
+        smallest &= I
+    if smallest not in subs:
+        raise InvalidRegionError(
+            "full-supporting subsets are not intersection-closed for this simplex"
+        )
+    return smallest
+
+
+def decomposition_groups(simplices) -> list[tuple]:
+    """(minimal subset, base face, cells) per group of `decompose_difference`,
+    in its order."""
+    groups: dict[tuple, list[Simplex]] = {}
+    for s in simplices:
+        I = minimal_full_supporting(s)
+        face = tuple(v for v in s.vertices if coordinate_support(v) <= I)
+        key = (len(I), tuple(sorted(I)), face)
+        groups.setdefault(key, []).append(s)
+    return [
+        (frozenset(members), face, groups[(size, members, face)])
+        for (size, members, face) in sorted(groups)
+    ]
+
+
+def drop_coordinates(x: NewtonRegion | Simplex, I) -> NewtonRegion | Simplex:
+    """Forget the coordinates in I (they must vanish on every vertex)."""
+    members = frozenset(I)
+    if isinstance(x, Simplex):
+        keep = [i for i in range(x.n) if i not in members]
+        for v in x.vertices:
+            if any(v[i] != 0 for i in members):
+                raise DomainError("cannot drop a live coordinate")
+        return Simplex(tuple(tuple(v[i] for i in keep) for v in x.vertices))
+    sims = tuple(drop_coordinates(s, members) for s in x.simplices)
+    return NewtonRegion(x.n - len(members), tuple(sorted(set(sims), key=lambda s: s.vertices)))
+
+
+def factored_parts(region: NewtonRegion, I) -> tuple:
+    """(|I|! V(base face), projected region or None) as the factored
+    preamble read them, for a region whose pieces share the minimal
+    subset I and one base face."""
+    faces = region._faces()[I]
+    face_volume = Simplex(next(iter(faces))).normalized_volume()
+    m = region.n - len(I)
+    prime = None
+    if m > 0:
+        projected = [drop_coordinates(project(s, I), I) for s in region.simplices]
+        if len(set(projected)) == len(projected) and all(
+            len(p.vertices) == m + 1 and not p.is_degenerate for p in projected
+        ):
+            prime = NewtonRegion(m, tuple(projected))
+    return face_volume, prime

@@ -158,6 +158,18 @@ def test_batch_all_green(tmp_path):
     assert all(r["exit"] == 0 for r in out["results"])
 
 
+def test_batch_survives_a_stray_numbered_variable(tmp_path):
+    # a name like z0 fails its own line as a parse error, not the batch
+    batch = tmp_path / "cmds.txt"
+    batch.write_text("nn --poly z0^2+z1^2\nnn --poly z1^2+z01^3\nnn --poly z1^3+z2^2\n")
+    code, out = run(["--batch", str(batch)])
+    assert code == 1
+    results = out["results"]
+    assert [r["exit"] for r in results] == [1, 1, 0]
+    assert [r["output"]["error"]["type"] for r in results[:2]] == ["parse", "parse"]
+    assert results[2]["output"]["nu"] == "2"
+
+
 def test_batch_reports_unsplittable_line(tmp_path):
     batch = tmp_path / "cmds.txt"
     batch.write_text('nn --poly "x^2\nnn --poly x^3+y^2\nnn --batch other.txt\n')

@@ -52,6 +52,21 @@ def test_numbered_variables():
     assert (0, 0, 0, 0, 1) in p.coefficients
 
 
+@pytest.mark.parametrize(
+    "text, name, position",
+    [("z0^2 + z1^2", "z0", 0), ("z1^2 + z01^3", "z01", 7), ("z0^2", "z0", 0)],
+)
+def test_numbered_variables_outside_the_index_rejected(text, name, position):
+    # z<k> with k = 0 or a leading zero is numbered but names no coordinate
+    message = f"numbered variables are z1, z2, ...; {name} is not one of them"
+    with pytest.raises(ParseError, match=message) as exc:
+        parse_series(text)
+    assert exc.value.position == position
+    code, out = run(["nn", "--poly", text])
+    assert code == 1
+    assert out["error"] == {"type": "parse", "message": message, "position": position}
+
+
 def test_variable_style_mixing_rejected():
     with pytest.raises(ParseError):
         parse_series("x^2 + z3^2")

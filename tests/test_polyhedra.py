@@ -21,7 +21,6 @@ from newton_mu.polyhedra import (
     axis_simplex_region,
     check_dimension,
     default_variables,
-    drop_coordinates,
     gamma_minus,
     is_convenient,
     is_quasi_convenient,
@@ -223,11 +222,6 @@ def test_project_and_drop():
     s = Simplex(((1, 0, 0), (3, 0, 0), (0, 2, 1), (1, 1, 2)))
     shadow = project(s, [0])
     assert all(v[0] == 0 for v in shadow.vertices)
-    flat = project(s, [1, 2])
-    dropped = drop_coordinates(flat, [1, 2])
-    assert dropped.n == 1
-    with pytest.raises(DomainError):
-        drop_coordinates(s, [0])  # coordinate 0 does not vanish
 
 
 def test_quasi_convenient_cases():

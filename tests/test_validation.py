@@ -83,12 +83,12 @@ def random_region(rng: random.Random, n: int, big: bool, rational: bool) -> Newt
         elif kind == "nudge":
             # a copy of a cell with one vertex moved one step along an axis
             verts = [list(v) for v in rng.choice(cells)]
-            verts[rng.randrange(n + 1)][rng.randrange(n)] += 1
+            verts[rng.randrange(len(verts))][rng.randrange(n)] += 1
             cells.append(tuple(tuple(v) for v in verts))
         elif kind == "shift":
             i = rng.randrange(len(cells))
             verts = list(cells[i])
-            verts[rng.randrange(n + 1)] = tuple(rng.randint(0, extent) for _ in range(n))
+            verts[rng.randrange(len(verts))] = tuple(rng.randint(0, extent) for _ in range(n))
             cells[i] = tuple(verts)
         elif kind == "degenerate":
             start = tuple(rng.randint(0, 2) for _ in range(n))
@@ -135,6 +135,14 @@ def test_screen_matches_reference_on_seeded_regions():
     assert {(verdict, n) for verdict in ("passed", "rejected") for n in (2, 3, 4, 5)} <= seen
     assert {("sampled", 0), ("sampled", 1)} <= seen
     assert {"degenerate cell", "lower-dimensional cell", "rational vertices"} <= seen
+
+
+def test_random_region_edits_short_cells():
+    # seed 193 appends a lower-dimensional cell and then edits a vertex of
+    # a picked cell, indexed by that cell's own length
+    region = random_region(random.Random(193), 4, False, False)
+    assert any(s.dim < 4 for s in region.simplices)
+    assert outcome(validate_region, region, 0) == outcome(reference_validate, region, 0)
 
 
 def test_screen_at_the_sampling_threshold():
